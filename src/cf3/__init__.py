@@ -48,11 +48,10 @@ from .forms import (
     q3,
 )
 from .solver import (
+    Caps,
     Certificate,
-    DecideConfig,
     Solvability,
     decide_product,
-    decide_product_escalating,
     decide_quadratic,
     modular_obstruction,
     pell_decide,
@@ -87,7 +86,6 @@ from .sail import (
 )
 from .acceptance import (
     ClaimResult,
-    SolverCaps,
     determinism_check,
     format_report,
     run_claims,
@@ -101,14 +99,13 @@ __all__ = [
     "commutant_lattice", "express_in_powers", "power_basis_index",
     "BinaryCubicForm", "BinaryQF", "IntegralityError", "ProductForm",
     "TernaryCubicForm", "product_form", "q2", "q3",
-    "Certificate", "DecideConfig", "Solvability", "decide_product",
-    "decide_product_escalating", "decide_quadratic", "modular_obstruction",
-    "pell_decide", "search_box",
+    "Caps", "Certificate", "Solvability", "decide_product", "decide_quadratic",
+    "modular_obstruction", "pell_decide", "search_box",
     "REFERENCE_PARAMS", "FrobeniusParams", "FrobeniusVerdict",
     "classification_report", "decide_thm2", "decide_thm3", "frobenius_matrix",
     "hunt", "oracle_2x2", "theorem1_sweep",
     "CoverageError", "DirichletGroup", "EigenCone", "Face", "SailComplex",
     "TorusInvariant", "compute_sail", "dirichlet_generators", "eigen_cone",
     "invariant_distinguish", "sail_svg", "torus_invariant_for", "torus_invariants",
-    "ClaimResult", "SolverCaps", "determinism_check", "format_report", "run_claims",
+    "ClaimResult", "determinism_check", "format_report", "run_claims",
 ]

@@ -8,7 +8,7 @@ subcommand and tests/test_acceptance.py are thin wrappers around these.
 Claims never read caches or fixtures: census counts come from fresh
 enumeration, verdicts from the solvers, invariants from the sail pipeline.
 A claim can come back *undecided* instead of failed when its search caps
-were deliberately lowered (see SolverCaps); that maps to exit code 3.
+were deliberately lowered (see solver.Caps); that maps to exit code 3.
 """
 
 from __future__ import annotations
@@ -22,12 +22,11 @@ from .census import (REDUCIBLE, HYPERBOLIC, M_ONLY, census, classify_matrix,
                      matrices_in_class, matrix_from_flat)
 from .commutant import basis_from_pair, commutant_basis, commutant_lattice, power_basis_index
 from .forms import q3
-from .frobenius import (BOX_LADDER, REFERENCE_PARAMS, _sample_norm_flat,
-                        classification_report, decide_thm2, decide_thm3,
-                        oracle_2x2, theorem1_sweep)
+from .frobenius import (REFERENCE_PARAMS, _sample_norm_flat, classification_report,
+                        decide_thm2, decide_thm3, oracle_2x2, theorem1_sweep)
 from .intmat import IntMat, matrix_norm, parse_matrix
 from .sail import torus_invariant_for
-from .solver import BINARY_CUBIC_EXPONENTS, DecideConfig, modular_obstruction
+from .solver import BINARY_CUBIC_EXPONENTS, Caps, modular_obstruction
 from .zlinalg import inverse_unimodular
 
 SEED = "cf3-acceptance"
@@ -55,28 +54,6 @@ COMMUTANT_SAMPLE = 200
 
 
 @dataclass(frozen=True)
-class SolverCaps:
-    """Overrides for the witness search box and the obstruction modulus cap.
-
-    None keeps the library default ladders.  A cap of 0 disables the
-    corresponding engine, which leaves witness claims undecided on purpose
-    (the documented exit-3 path of the repro subcommand)."""
-
-    box_bound: int = None
-    modulus_cap: int = None
-
-
-def thm3_args(caps):
-    """(boxes, config) for decide_thm3, honoring optional cap overrides."""
-    if caps is None or (caps.box_bound is None and caps.modulus_cap is None):
-        return BOX_LADDER, None
-    box = max(BOX_LADDER) if caps.box_bound is None else caps.box_bound
-    cap = DecideConfig().modulus_cap if caps.modulus_cap is None else caps.modulus_cap
-    boxes = tuple(b for b in BOX_LADDER if b < box) + (box,)
-    return boxes, DecideConfig(box_quadratic=box, box_product=box, modulus_cap=cap)
-
-
-@dataclass(frozen=True)
 class ClaimResult:
     claim: str
     ok: bool
@@ -85,7 +62,7 @@ class ClaimResult:
     seconds: float
 
 
-def claim_census_counts(workers=1, caps=None, seed=SEED):
+def claim_census_counts(workers=1, caps=Caps(), seed=SEED):
     """Irreducible and hyperbolic matrix counts at norms 1..6."""
     parts = []
     ok = True
@@ -96,7 +73,7 @@ def claim_census_counts(workers=1, caps=None, seed=SEED):
     return ok, False, "; ".join(parts)
 
 
-def claim_classification_counts(workers=1, caps=None, seed=SEED):
+def claim_classification_counts(workers=1, caps=Caps(), seed=SEED):
     """Every norm-5 and norm-6 hyperbolic matrix lands on a reference class."""
     rep5 = classification_report(5, workers=workers)
     rep6 = classification_report(6, workers=workers)
@@ -117,10 +94,9 @@ def claim_classification_counts(workers=1, caps=None, seed=SEED):
     return ok, undecided, detail
 
 
-def claim_frobenius_sweep(workers=1, caps=None, seed=SEED):
+def claim_frobenius_sweep(workers=1, caps=Caps(), seed=SEED):
     """Every irreducible 3x3 matrix of norm <= 6 certifies as Frobenius type."""
-    boxes, config = thm3_args(caps)
-    report = theorem1_sweep(6, workers=workers, boxes=boxes, config=config)
+    report = theorem1_sweep(6, workers=workers, caps=caps)
     ok = True
     pending = 0
     for n, row in report.items():
@@ -135,7 +111,7 @@ def claim_frobenius_sweep(workers=1, caps=None, seed=SEED):
     return ok, pending > 0, detail
 
 
-def claim_counterexample(workers=1, caps=None, seed=SEED):
+def claim_counterexample(workers=1, caps=Caps(), seed=SEED):
     """The norm-42 matrix is certified outside Frobenius type via modulus 7."""
     a = parse_matrix(COUNTEREXAMPLE_TEXT)
     if matrix_norm(a) != 42:
@@ -157,13 +133,12 @@ def claim_counterexample(workers=1, caps=None, seed=SEED):
     failed = sorted(name for name, good in checks.items() if not good)
     if failed:
         return False, False, "structural checks failed: " + ", ".join(failed)
-    boxes, config = thm3_args(caps)
-    cap = (config or DecideConfig()).modulus_cap
-    verdict = decide_thm3(a, basis=basis, config=config, boxes=boxes)
+    verdict = decide_thm3(a, basis=basis, caps=caps)
     if verdict.status == "undecided":
         return False, True, ("undecided with witness box %d and modulus cap %d"
-                             % (boxes[-1], cap))
-    cert = modular_obstruction(COUNTEREXAMPLE_BINARY, BINARY_CUBIC_EXPONENTS, cap)
+                             % (caps.box, caps.modulus_cap))
+    cert = modular_obstruction(COUNTEREXAMPLE_BINARY, BINARY_CUBIC_EXPONENTS,
+                               caps.modulus_cap)
     ok = (verdict.status == "non_frobenius"
           and cert is not None and cert.modulus == 7
           and verdict.solvability.certificate.modulus == 7)
@@ -173,7 +148,7 @@ def claim_counterexample(workers=1, caps=None, seed=SEED):
     return ok, False, detail
 
 
-def claim_commutant_statements(workers=1, caps=None, seed=SEED):
+def claim_commutant_statements(workers=1, caps=Caps(), seed=SEED):
     """Random irreducible matrices: rank-3 commutant, E in the basis,
     and the (alpha, beta, gamma) expression of B reconstructs it exactly."""
     rng = random.Random("%s:commutant" % seed)
@@ -204,7 +179,7 @@ def claim_commutant_statements(workers=1, caps=None, seed=SEED):
     return True, False, detail
 
 
-def claim_pell_oracle(workers=1, caps=None, seed=SEED):
+def claim_pell_oracle(workers=1, caps=Caps(), seed=SEED):
     """The 2x2 decision is conclusive on every irreducible matrix of
     norm <= 6 and never contradicts the brute-force conjugator search."""
     total = 0
@@ -240,7 +215,7 @@ def conjugate_by(p, c):
     return p @ c @ IntMat(inverse_unimodular([list(row) for row in p.rows]))
 
 
-def claim_sail_invariants(workers=1, caps=None, seed=SEED):
+def claim_sail_invariants(workers=1, caps=Caps(), seed=SEED):
     """The reference torus invariants are pairwise distinct and survive
     random unimodular conjugation."""
     refs = []
@@ -278,7 +253,7 @@ CLAIMS = (
 )
 
 
-def run_claims(workers=1, caps=None, seed=SEED):
+def run_claims(workers=1, caps=Caps(), seed=SEED):
     """Every claim in order, with wall-clock timings."""
     results = []
     for name, fn in CLAIMS:
@@ -309,7 +284,7 @@ def exit_code(results):
     return 0
 
 
-def determinism_check(worker_counts=(1, 4, 8), caps=None, seed=SEED):
+def determinism_check(worker_counts=(1, 4, 8), caps=Caps(), seed=SEED):
     """Timing-stripped reports must agree byte for byte across pool sizes."""
     reports = {}
     for w in worker_counts:

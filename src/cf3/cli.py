@@ -16,7 +16,7 @@ import json
 import sys
 from dataclasses import asdict, dataclass
 
-from .acceptance import SEED, SolverCaps, exit_code, format_report, run_claims, thm3_args
+from .acceptance import SEED, exit_code, format_report, run_claims
 from .census import HYPERBOLIC, census, census_records, matrices_in_class, matrix_from_flat
 from .commutant import commutant_basis, commutant_lattice, power_basis_index
 from .forms import MONOMIALS, q2, q3
@@ -25,7 +25,7 @@ from .intmat import format_matrix, matrix_norm, parse_matrix
 from .parallel import parallel_map_chunked
 from .sail import (RADIUS_LADDER, CoverageError, compute_sail, dirichlet_generators,
                    eigen_cone, sail_svg, torus_invariants)
-from .solver import decide_product_escalating, decide_quadratic
+from .solver import Caps, decide_product, decide_quadratic
 
 DEFAULT_RADIUS = 16
 DEFAULT_HUNT_COUNT = 40
@@ -69,9 +69,8 @@ def _parsed_matrix(config):
 
 
 def _caps(config):
-    if config.box is None and config.modcap is None:
-        return None
-    return SolverCaps(box_bound=config.box, modulus_cap=config.modcap)
+    overrides = {"box": config.box, "modulus_cap": config.modcap}
+    return Caps(**{k: v for k, v in overrides.items() if v is not None})
 
 
 def _run_census(config):
@@ -150,14 +149,10 @@ def _solvability_document(sol):
 
 def _run_solve(config):
     m = _parsed_matrix(config)
-    boxes, decide_config = thm3_args(_caps(config))
     if m.dim == 2:
-        sol = decide_quadratic(q2(m), decide_config)
-    elif decide_config is None:
-        sol = decide_product_escalating(q3(m), boxes=boxes)
+        sol = decide_quadratic(q2(m))
     else:
-        sol = decide_product_escalating(q3(m), boxes=boxes,
-                                        cap=decide_config.modulus_cap)
+        sol = decide_product(q3(m), _caps(config))
     document = {"matrix": format_matrix(m), "solvability": _solvability_document(sol)}
     _dump(document)
     return 3 if sol.verdict == "unknown" else 0
@@ -165,11 +160,10 @@ def _run_solve(config):
 
 def _run_frobenius(config):
     m = _parsed_matrix(config)
-    boxes, decide_config = thm3_args(_caps(config))
     if m.dim == 2:
-        verdict = decide_thm2(m, decide_config)
+        verdict = decide_thm2(m)
     else:
-        verdict = decide_thm3(m, config=decide_config, boxes=boxes)
+        verdict = decide_thm3(m, caps=_caps(config))
     document = {
         "matrix": format_matrix(m),
         "norm": matrix_norm(m),
@@ -215,9 +209,10 @@ def _run_sail(config):
     ladder = (config.radius,) + tuple(r for r in RADIUS_LADDER if r > config.radius)
     for radius in ladder:
         try:
-            invariant = torus_invariants(compute_sail(cone, radius), group)
+            sail = complex_ if radius == config.radius else compute_sail(cone, radius)
+            invariant = torus_invariants(sail, group)
             break
-        except (CoverageError, RuntimeError) as exc:
+        except CoverageError as exc:
             invariant_error = str(exc)
     document = {
         "matrix": format_matrix(m),
@@ -323,13 +318,13 @@ def _build_parser():
 
     p = add("solve", "decide whether the attached form attains +1 or -1")
     p.add_argument("--matrix", required=True)
-    p.add_argument("--box", type=int, help="witness search bound override")
-    p.add_argument("--modcap", type=int, help="obstruction modulus cap override")
+    p.add_argument("--box", type=int, help="3x3 witness search box override")
+    p.add_argument("--modcap", type=int, help="3x3 obstruction modulus cap override")
 
     p = add("frobenius", "decide the Frobenius type of one matrix")
     p.add_argument("--matrix", required=True)
-    p.add_argument("--box", type=int, help="witness search bound override")
-    p.add_argument("--modcap", type=int, help="obstruction modulus cap override")
+    p.add_argument("--box", type=int, help="3x3 witness search box override")
+    p.add_argument("--modcap", type=int, help="3x3 obstruction modulus cap override")
 
     p = add("classify", "classify all hyperbolic matrices at one norm")
     p.add_argument("--norm", type=int, required=True)
@@ -375,6 +370,9 @@ def main(argv=None):
     except (ValueError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 1
+    except CoverageError as exc:
+        print("undecided: %s" % exc, file=sys.stderr)
+        return 3
     except (AssertionError, ArithmeticError, RuntimeError) as exc:
         print("internal check failed: %s" % exc, file=sys.stderr)
         return 2

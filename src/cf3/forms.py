@@ -11,7 +11,9 @@ Three shapes appear:
   2x2 "bracket" products between A and its adjugate.
 
 q3 multiplies the last two into the five-variable product form; its unit
-values (over integer points) characterize Frobenius-type 3x3 matrices.  The
+values (over integer points) characterize Frobenius-type 3x3 matrices.
+det_form, the determinant of a general member of a rank-3 matrix lattice,
+is a ternary cubic of the same shape; matching and unit groups use it.  The
 product must have integer coefficients; a violation is an internal error,
 not bad input.
 
@@ -233,6 +235,27 @@ def p_tilde(a, b):
             total += mult * bracket(a, b, ij, kl)
         coeffs.append(total)
     return TernaryCubicForm(tuple(coeffs))
+
+
+_EXP_TO_NAME = {exp: name for name, exp in MONOMIAL_EXPONENTS.items()}
+
+
+def det_form(gs):
+    """det(x*G1 + y*G2 + z*G3) as a ternary cubic, expanded exactly by
+    multilinearity in the columns (27 integer determinants)."""
+    cols = [[[g.rows[i][j] for i in range(3)] for j in range(3)] for g in gs]
+    coeffs = dict.fromkeys(MONOMIALS, 0)
+    for i1 in range(3):
+        for i2 in range(3):
+            for i3 in range(3):
+                m = IntMat([[cols[i1][0][r], cols[i2][1][r], cols[i3][2][r]]
+                            for r in range(3)])
+                d = m.det()
+                if d == 0:
+                    continue
+                counts = tuple((i1, i2, i3).count(k) for k in range(3))
+                coeffs[_EXP_TO_NAME[counts]] += d
+    return TernaryCubicForm(tuple(coeffs[name] for name in MONOMIALS))
 
 
 @dataclass(frozen=True)

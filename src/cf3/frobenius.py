@@ -42,15 +42,15 @@ import numpy as np
 from .census import (HYPERBOLIC, M_ONLY, REDUCIBLE, classify_matrix,
                      matrices_in_class, matrix_from_flat, sphere_size)
 from .commutant import commutant_basis, express_in_powers
-from .forms import MONOMIAL_EXPONENTS, MONOMIALS, TernaryCubicForm, q2, q3
+from .forms import det_form, q2, q3
 from .intmat import (IntMat, adjugate, char_cubic, format_matrix,
                      is_irreducible, is_square)
 from .parallel import parallel_map_chunked
-from .solver import (DecideConfig, TERNARY_CUBIC_EXPONENTS, _rank,
-                     decide_product_escalating, decide_quadratic, search_box)
+from .solver import (TERNARY_CUBIC_EXPONENTS, Caps, _rank, decide_product,
+                     decide_quadratic, search_box)
+from .solver import BOX_LADDER  # re-exported: the default 3x3 search ladder
 from .zlinalg import hnf_basis, right_kernel, xgcd
 
-BOX_LADDER = (12, 25, 50)
 CLASSIFY_DET_BOXES = (6, 12, 24)
 
 LABELS = ("golden_ratio", "M_-1_3_1", "M_0_3_1", "other", "unresolved")
@@ -127,11 +127,12 @@ def conjugator_from_witness(a, witness):
     return conj
 
 
-def decide_thm2(a, config=None):
-    """Frobenius type of an irreducible 2x2 matrix; always conclusive."""
+def decide_thm2(a):
+    """Frobenius type of an irreducible 2x2 matrix; undecided only when the
+    Pell walk reaches its step cap."""
     if a.dim != 2:
         raise ValueError("decide_thm2 needs a 2x2 matrix")
-    sol = decide_quadratic(q2(a), config)
+    sol = decide_quadratic(q2(a))
     if sol.verdict == "solvable":
         return FrobeniusVerdict("frobenius", 2, sol,
                                 conjugator=conjugator_from_witness(a, sol.witness))
@@ -174,7 +175,7 @@ def oracle_2x2(a, radius):
 
 # ---------------------------------------------------------------- 3x3
 
-def decide_thm3(c, basis=None, config=None, boxes=BOX_LADDER):
+def decide_thm3(c, basis=None, caps=Caps()):
     """Frobenius type of an irreducible 3x3 matrix.
 
     Solvable and unsolvable verdicts are exact; exhausting the box ladder
@@ -182,9 +183,7 @@ def decide_thm3(c, basis=None, config=None, boxes=BOX_LADDER):
     """
     if c.dim != 3:
         raise ValueError("decide_thm3 needs a 3x3 matrix")
-    config = config or DecideConfig()
-    pf = q3(c, basis=basis)
-    sol = decide_product_escalating(pf, boxes, config.modulus_cap)
+    sol = decide_product(q3(c, basis=basis), caps)
     status = {"solvable": "frobenius", "unsolvable": "non_frobenius",
               "unknown": "undecided"}[sol.verdict]
     return FrobeniusVerdict(status, 3, sol)
@@ -261,28 +260,7 @@ def _intertwiner_basis(y, r):
     return [IntMat([vec[0:3], vec[3:6], vec[6:9]]) for vec in kern]
 
 
-_EXP_TO_NAME = {exp: name for name, exp in MONOMIAL_EXPONENTS.items()}
-
-
-def det_form(gs):
-    """det(x*G1 + y*G2 + z*G3) as a ternary cubic, expanded exactly by
-    multilinearity in the columns (27 integer determinants)."""
-    cols = [[[g.rows[i][j] for i in range(3)] for j in range(3)] for g in gs]
-    coeffs = dict.fromkeys(MONOMIALS, 0)
-    for i1 in range(3):
-        for i2 in range(3):
-            for i3 in range(3):
-                m = IntMat([[cols[i1][0][r], cols[i2][1][r], cols[i3][2][r]]
-                            for r in range(3)])
-                d = m.det()
-                if d == 0:
-                    continue
-                counts = tuple((i1, i2, i3).count(k) for k in range(3))
-                coeffs[_EXP_TO_NAME[counts]] += d
-    return TernaryCubicForm(tuple(coeffs[name] for name in MONOMIALS))
-
-
-def conjugate_commuting(c, r, det_boxes=CLASSIFY_DET_BOXES):
+def conjugate_commuting(c, r):
     """Search for X in SL(3,Z) making X c X^-1 commute with r.
 
     Returns (status, x): "conjugate" with a verified x, "no_fiber" when no
@@ -299,7 +277,7 @@ def conjugate_commuting(c, r, det_boxes=CLASSIFY_DET_BOXES):
         gs = _intertwiner_basis(y, r)
         form = det_form(gs)
         assert not form.is_zero()
-        for box in det_boxes:
+        for box in CLASSIFY_DET_BOXES:
             hit = search_box(form.coeffs, TERNARY_CUBIC_EXPONENTS, box)
             if hit is None:
                 continue
@@ -315,7 +293,7 @@ def conjugate_commuting(c, r, det_boxes=CLASSIFY_DET_BOXES):
     return ("inconclusive", None)
 
 
-def classify_fraction(c, det_boxes=CLASSIFY_DET_BOXES):
+def classify_fraction(c):
     """Label the periodic fraction of an irreducible 3x3 matrix.
 
     Labels name the matched reference matrix; "other" is definitive (for
@@ -330,7 +308,7 @@ def classify_fraction(c, det_boxes=CLASSIFY_DET_BOXES):
         rmat = params.matrix()
         if not _ratio_square(dc, char_cubic(rmat).discriminant()):
             continue
-        status, _ = conjugate_commuting(c, rmat, det_boxes)
+        status, _ = conjugate_commuting(c, rmat)
         if status == "conjugate":
             return label
         if status == "inconclusive":
@@ -338,60 +316,13 @@ def classify_fraction(c, det_boxes=CLASSIFY_DET_BOXES):
     return "unresolved" if pending else "other"
 
 
-def conjugator_search(c, r, bound=2):
-    """Literal bounded search over SL(3,Z): the identity first, then every
-    X with max-norm up to the bound in canonical order, returning the
-    first whose conjugate of c commutes with r."""
-    x = IntMat.identity(3)
-    w = x @ c @ adjugate(x)
-    if w @ r == r @ w:
-        return x
-    for shell in range(1, bound + 1):
-        vals = sorted(range(-shell, shell + 1), key=_rank)
-        for flat in _nine_tuples(vals, shell):
-            x = matrix_from_flat(flat)
-            if x.det() != 1:
-                continue
-            w = x @ c @ adjugate(x)
-            if w @ r == r @ w:
-                return x
-    return None
-
-
-def _nine_tuples(vals, shell):
-    """9-tuples over vals whose max-norm is exactly shell, in
-    lexicographic order, det filtered in numpy chunks."""
-    import itertools
-    chunk = []
-    for flat in itertools.product(vals, repeat=9):
-        if max(abs(v) for v in flat) != shell:
-            continue
-        chunk.append(flat)
-        if len(chunk) == 65536:
-            yield from _det_one(chunk)
-            chunk = []
-    yield from _det_one(chunk)
-
-
-def _det_one(flats):
-    if not flats:
-        return
-    arr = np.array(flats, dtype=np.int64)
-    a, b, c = arr[:, 0], arr[:, 1], arr[:, 2]
-    d, e_, f = arr[:, 3], arr[:, 4], arr[:, 5]
-    g, h, i = arr[:, 6], arr[:, 7], arr[:, 8]
-    det = a * (e_ * i - f * h) - b * (d * i - f * g) + c * (d * h - e_ * g)
-    for idx in np.flatnonzero(det == 1):
-        yield flats[idx]
-
-
 # ---------------------------------------------------------------- sweeps
 
-def _sweep_chunk(flats, boxes=BOX_LADDER, config=None):
+def _sweep_chunk(flats, caps):
     frob = 0
     undecided = []
     for flat in flats:
-        verdict = decide_thm3(matrix_from_flat(flat), config=config, boxes=boxes)
+        verdict = decide_thm3(matrix_from_flat(flat), caps=caps)
         if verdict.status == "frobenius":
             frob += 1
         else:
@@ -399,13 +330,13 @@ def _sweep_chunk(flats, boxes=BOX_LADDER, config=None):
     return [(frob, undecided)]
 
 
-def theorem1_sweep(norm_cap=6, workers=1, boxes=BOX_LADDER, config=None):
+def theorem1_sweep(norm_cap=6, workers=1, caps=Caps()):
     """Decide every irreducible 3x3 matrix of norm <= norm_cap.
 
     Returns {norm: {"matrices": n, "frobenius": n, "undecided": [...]}};
     an empty undecided list everywhere reproduces the blanket statement
     for small norms."""
-    chunk = partial(_sweep_chunk, boxes=boxes, config=config)
+    chunk = partial(_sweep_chunk, caps=caps)
     report = {}
     for n in range(norm_cap + 1):
         flats = [m.flat() for m in matrices_in_class(3, n, (M_ONLY, HYPERBOLIC))]

@@ -20,7 +20,7 @@ import numpy as np
 from scipy.spatial import ConvexHull, QhullError
 
 from .commutant import commutant_basis, express_in_powers
-from .frobenius import det_form
+from .forms import det_form
 from .intmat import IntMat, char_cubic, is_hyperbolic
 from .roots import (
     interval_eval,
@@ -33,7 +33,8 @@ from .roots import (
     refine_interval,
     sign_at_root,
 )
-from .zlinalg import coords_in_basis, det_exact, inverse_unimodular
+from .solver import TERNARY_CUBIC_EXPONENTS, grid_coords, grid_values
+from .zlinalg import coords_in_basis, det_exact, hnf_with_transform, inverse_unimodular
 
 ROOT_WIDTH = Fraction(1, 2**60)
 FACE_BOX_CAP = 512
@@ -43,7 +44,8 @@ CELL_BAND = 1e-6
 
 
 class CoverageError(RuntimeError):
-    """Raised when the computed sail patch cannot cover a fundamental domain."""
+    """A cap was reached: no sail patch covering a fundamental domain within
+    the radius ladder, or no unit pair within the unit boxes."""
 
 
 def _poly_entry(value, diagonal):
@@ -385,7 +387,7 @@ def compute_sail(cone, radius):
         raise ValueError("radius must be at least 1")
     pts = _cone_points(cone, radius)
     if len(pts) == 0:
-        raise RuntimeError(
+        raise CoverageError(
             "no lattice point in the cone within radius %d; increase radius" % radius)
     empty = SailComplex(cone=cone, radius=radius, faces=(), vertices=(), edges=())
     if len(pts) < 4:
@@ -530,23 +532,11 @@ def _solve_cell(l1, l2, w):
 
 
 def _unit_pool(form, box):
-    from .forms import MONOMIAL_EXPONENTS, MONOMIALS
-
-    coeffs = form.coeffs
-    total = sum(abs(c) for c in coeffs)
-    assert total * max(1, box) ** 3 < 2**62
-    rng = np.arange(-box, box + 1, dtype=np.int64)
-    pts = np.stack(np.meshgrid(rng, rng, rng, indexing="ij"), axis=-1).reshape(-1, 3)
-    val = np.zeros(len(pts), dtype=np.int64)
-    for name, coeff in zip(MONOMIALS, coeffs):
-        if coeff == 0:
-            continue
-        ex, ey, ez = MONOMIAL_EXPONENTS[name]
-        val += coeff * pts[:, 0] ** ex * pts[:, 1] ** ey * pts[:, 2] ** ez
-    hits = pts[np.abs(val) == 1]
-    out = [tuple(int(x) for x in row) for row in hits]
-    out.sort(key=lambda t: (max(abs(x) for x in t), t))
-    return out
+    # Points of the box where the determinant form is +-1, lexicographically.
+    assert sum(abs(c) for c in form.coeffs) * max(1, box) ** 3 < 2**62
+    coords = grid_coords(np.arange(-box, box + 1, dtype=np.int64), 3)
+    val = grid_values(form.coeffs, TERNARY_CUBIC_EXPONENTS, coords)
+    return [tuple(int(g[k]) for g in coords) for k in np.flatnonzero(np.abs(val) == 1)]
 
 
 class _GroupState:
@@ -621,8 +611,6 @@ def _absorb(state, gens, u, lu):
         return
     wc = _commutant_coords(state.basis, w)
     lw = _unit_log(state, wc)
-    from .zlinalg import hnf_with_transform
-
     for m in range(2, 65):
         ta, tb = _solve_cell(l1, l2, (m * lw[0], m * lw[1]))
         ta, tb = round(ta), round(tb)
@@ -642,7 +630,7 @@ def _absorb(state, gens, u, lu):
     raise AssertionError("unit group index search exhausted")
 
 
-def dirichlet_generators(c, boxes=UNIT_BOXES):
+def dirichlet_generators(c):
     """Two multiplicatively independent totally positive units from the
     commutant of ``c``, reduced and (when possible) certified complete.
 
@@ -661,7 +649,7 @@ def dirichlet_generators(c, boxes=UNIT_BOXES):
     state = _GroupState(basis, chi, list(intervals), fa, fb)
     form = det_form(basis.members())
     result = None
-    for box in boxes:
+    for box in UNIT_BOXES:
         pool = []
         for coords in _unit_pool(form, box):
             if coords == (1, 0, 0) or coords == (-1, 0, 0):
@@ -697,9 +685,9 @@ def dirichlet_generators(c, boxes=UNIT_BOXES):
         if certified:
             break
     if result is None:
-        raise RuntimeError(
+        raise CoverageError(
             "fewer than two independent positive units found with "
-            "coordinates up to %d" % boxes[-1])
+            "coordinates up to %d" % UNIT_BOXES[-1])
     _assert_independent(state, result)
     return result
 
@@ -869,20 +857,19 @@ def torus_invariants(sail, group):
         radius=sail.radius)
 
 
-def torus_invariant_for(c, radius_ladder=RADIUS_LADDER):
+def torus_invariant_for(c):
     """Full pipeline: cone, units, and sail orbits with radius escalation."""
     cone = eigen_cone(c)
     group = dirichlet_generators(c)
     last = None
-    for radius in radius_ladder:
+    for radius in RADIUS_LADDER:
         try:
-            sail = compute_sail(cone, radius)
-            return torus_invariants(sail, group)
-        except (CoverageError, RuntimeError) as exc:
+            return torus_invariants(compute_sail(cone, radius), group)
+        except CoverageError as exc:
             last = exc
-    raise RuntimeError(
+    raise CoverageError(
         "torus invariants not resolved up to radius %d (%s)"
-        % (radius_ladder[-1], last))
+        % (RADIUS_LADDER[-1], last))
 
 
 def invariant_distinguish(c1, c2):

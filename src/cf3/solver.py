@@ -8,16 +8,16 @@ Three engines, in increasing specificity:
   coefficients fit int64 arithmetic, with an exact re-check of any hit;
 * modular_obstruction: the smallest modulus q where the form's residue set
   misses both 1 and -1, which certifies unsolvability;
-* pell_decide: a complete decision for binary quadratics of positive
-  nonsquare discriminant via the reduction cycle.  +-1 is represented
-  exactly when it occurs among the leading coefficients of the cycle, and
-  the witness is read off the accumulated change of basis.  Negative
-  discriminants are decided by complete enumeration instead.
+* pell_decide: a decision for binary quadratics of positive nonsquare
+  discriminant via the reduction cycle, capped at PELL_STEP_CAP steps.
+  +-1 is represented exactly when it occurs among the leading coefficients
+  of the cycle, and the witness is read off the accumulated change of
+  basis.  Negative discriminants are decided by complete enumeration.
 
 decide_product handles the five-variable product of a binary and a ternary
 cubic.  Its values factor as content * f1 * f2 over independent variables,
 so it attains a unit value exactly when the content is 1 and each primitive
-factor attains one.
+factor attains one.  Its search box and modulus cap come from one Caps value.
 """
 
 from __future__ import annotations
@@ -37,13 +37,25 @@ BINARY_CUBIC_EXPONENTS = ((3, 0), (2, 1), (1, 2), (0, 3))
 TERNARY_CUBIC_EXPONENTS = tuple(MONOMIAL_EXPONENTS[name] for name in MONOMIALS)
 
 UNIT_TARGETS = (1, -1)
+BOX_LADDER = (12, 25, 50)
+PELL_STEP_CAP = 100000
 
 
 @dataclass(frozen=True)
-class DecideConfig:
-    box_quadratic: int = 25
-    box_product: int = 12
+class Caps:
+    """Witness search box and obstruction modulus cap of the product decision.
+
+    The search escalates through the rungs of BOX_LADDER below ``box`` and
+    then ``box`` itself, so ``Caps()`` searches boxes 12, 25 and 50.  A cap
+    of 0 disables its engine, which leaves decisions undecided on purpose.
+    """
+
+    box: int = 50
     modulus_cap: int = 100
+
+    @property
+    def ladder(self):
+        return tuple(b for b in BOX_LADDER if b < self.box) + (self.box,)
 
 
 @dataclass(frozen=True)
@@ -87,15 +99,32 @@ def _evaluate(coeffs, exponents, point):
     return total
 
 
+def grid_coords(side, arity):
+    """Coordinate columns of the grid side^arity, in lexicographic order."""
+    return [g.ravel() for g in np.meshgrid(*([side] * arity), indexing="ij")]
+
+
+def grid_values(coeffs, exponents, coords):
+    """The form at every grid point, in int64; the caller rules out overflow."""
+    total = np.zeros_like(coords[0])
+    for c, exps in zip(coeffs, exponents):
+        if not c:
+            continue
+        term = np.full_like(coords[0], c)
+        for g, e in zip(coords, exps):
+            for _ in range(e):
+                term = term * g
+        total = total + term
+    return total
+
+
 _GRID_CACHE = {}
 
 
 def _grids(arity, bound):
     key = (arity, bound)
     if key not in _GRID_CACHE:
-        side = np.arange(-bound, bound + 1, dtype=np.int64)
-        mesh = np.meshgrid(*([side] * arity), indexing="ij")
-        coords = [g.ravel() for g in mesh]
+        coords = grid_coords(np.arange(-bound, bound + 1, dtype=np.int64), arity)
         shell = np.zeros_like(coords[0])
         for g in coords:
             shell = np.maximum(shell, np.abs(g))
@@ -130,13 +159,7 @@ def search_box(coeffs, exponents, bound, targets=UNIT_TARGETS):
     limit = sum(abs(c) for c in coeffs) * max(1, bound) ** degree
     if limit < 2 ** 62 and max(abs(t) for t in targets) < 2 ** 62:
         coords, order = _grids(len(exponents[0]), bound)
-        total = np.zeros_like(coords[0])
-        for c, exps in zip(coeffs, exponents):
-            term = np.full_like(coords[0], c)
-            for g, e in zip(coords, exps):
-                for _ in range(e):
-                    term = term * g
-            total = total + term
+        total = grid_values(coeffs, exponents, coords)
         hits = np.flatnonzero(np.isin(total, np.array(targets, dtype=np.int64)))
         if hits.size == 0:
             return None
@@ -154,10 +177,7 @@ def search_box(coeffs, exponents, bound, targets=UNIT_TARGETS):
 @lru_cache(maxsize=65536)
 def _residues_mod(coeffs, exponents, q):
     """All residues the form attains on (Z/q)^arity."""
-    arity = len(exponents[0])
-    side = np.arange(q, dtype=np.int64)
-    mesh = np.meshgrid(*([side] * arity), indexing="ij")
-    coords = [g.ravel() for g in mesh]
+    coords = grid_coords(np.arange(q, dtype=np.int64), len(exponents[0]))
     maxdeg = max(max(e) for e in exponents)
     powers = []
     for g in coords:
@@ -186,22 +206,6 @@ def modular_obstruction(coeffs, exponents, cap, targets=UNIT_TARGETS):
     return None
 
 
-def decide_unit_values(coeffs, exponents, box, cap, detail=""):
-    """Searching then obstructing a single form; may come back unknown."""
-    found = search_box(coeffs, exponents, box)
-    if found is not None:
-        point, value = found
-        return Solvability("solvable", witness=point, value=value,
-                           search_bound=box)
-    cert = modular_obstruction(tuple(int(c) for c in coeffs), exponents, cap)
-    if cert is not None:
-        if detail:
-            cert = replace(cert, detail=detail)
-        return Solvability("unsolvable", certificate=cert,
-                           search_bound=box, modulus_cap=cap)
-    return Solvability("unknown", search_bound=box, modulus_cap=cap)
-
-
 # ---------------------------------------------------------------- quadratics
 
 def _reduced(a, b, s):
@@ -225,7 +229,8 @@ def pell_decide(qf):
     Iterates the reduction step, tracking the change of basis v.  Any form
     along the way with leading coefficient +-1 yields the witness v(1, 0);
     once the walk returns to the first reduced form without one, the cycle
-    of leading coefficients certifies unsolvability.
+    of leading coefficients certifies unsolvability.  A walk that has not
+    closed after PELL_STEP_CAP steps comes back unknown.
     """
     d = qf.discriminant()
     if d <= 0 or is_square(d):
@@ -235,7 +240,7 @@ def pell_decide(qf):
     v = ((1, 0), (0, 1))
     cycle_start = None
     leadings = []
-    for _ in range(100000):
+    for _ in range(PELL_STEP_CAP):
         if a in (1, -1):
             witness = (v[0][0], v[1][0])
             value = qf.evaluate(*witness)
@@ -251,7 +256,7 @@ def pell_decide(qf):
         (a, b, c), t = _rho(a, b, c, d, s)
         v = ((v[0][1], -v[0][0] + v[0][1] * t),
              (v[1][1], -v[1][0] + v[1][1] * t))
-    raise AssertionError("reduction walk failed to close")
+    return Solvability("unknown")
 
 
 def _decide_definite(qf):
@@ -297,65 +302,33 @@ def _content_certificate(cont):
         detail="every coefficient divisible by %d" % p))
 
 
-def decide_quadratic(qf, config=None):
+def decide_quadratic(qf):
     """Does a binary quadratic attain +1 or -1?
 
-    Complete except for square discriminants, where a generic search and
-    obstruction fallback can return unknown; those do not occur for forms
-    built from irreducible matrices.
+    Square discriminants are rejected: q2 of an irreducible matrix never
+    has one.  Unknown only when the Pell walk reaches its step cap.
     """
-    config = config or DecideConfig()
     cont = qf.content()
     if cont > 1:
         return _content_certificate(cont)
     d = qf.discriminant()
     if d < 0:
         return _decide_definite(qf)
-    if not is_square(d):
-        return pell_decide(qf)
-    return decide_unit_values(qf.as_tuple(), BINARY_QUAD_EXPONENTS,
-                              config.box_quadratic, config.modulus_cap,
-                              detail="square discriminant fallback")
+    return pell_decide(qf)
 
 
 # ---------------------------------------------------------------- products
 
-def decide_product(pf, config=None):
+def decide_product(pf, caps=Caps()):
     """Does the five-variable product attain +1 or -1?
 
     With content 1 the question splits exactly: each primitive factor must
-    attain a unit value on its own variables.  A certificate for either
+    attain a unit value on its own variables, and a certificate for either
     factor certifies the product; content > 1 is itself a certificate.
-    """
-    config = config or DecideConfig()
-    if pf.content > 1:
-        return _content_certificate(pf.content)
-    r_mn = decide_unit_values(pf.mn_primitive, BINARY_CUBIC_EXPONENTS,
-                              config.box_product, config.modulus_cap,
-                              detail="binary factor")
-    if r_mn.verdict == "unsolvable":
-        return r_mn
-    r_xyz = decide_unit_values(pf.xyz_primitive, TERNARY_CUBIC_EXPONENTS,
-                               config.box_product, config.modulus_cap,
-                               detail="ternary factor")
-    if r_xyz.verdict == "unsolvable":
-        return r_xyz
-    if r_mn.verdict == "solvable" and r_xyz.verdict == "solvable":
-        witness = r_xyz.witness + r_mn.witness
-        value = pf.evaluate(*witness[:3], *witness[3:])
-        assert abs(value) == 1
-        return Solvability("solvable", witness=witness, value=int(value),
-                           search_bound=config.box_product)
-    return Solvability("unknown", search_bound=config.box_product,
-                       modulus_cap=config.modulus_cap)
-
-
-def decide_product_escalating(pf, boxes=(12, 25, 50), cap=100):
-    """decide_product with a growing search box before any obstruction scan.
-
-    Factor witnesses found at a small box are kept while the other factor
-    escalates; the obstruction scan runs only once the whole ladder has
-    failed, and only for factors without a witness.
+    Both factors are searched up the box ladder of ``caps``, a witness found
+    at a small box being kept while the other factor escalates; the
+    obstruction scan runs only once the whole ladder has failed, and only
+    for factors without a witness.
     """
     if pf.content > 1:
         return _content_certificate(pf.content)
@@ -363,8 +336,8 @@ def decide_product_escalating(pf, boxes=(12, 25, 50), cap=100):
         [pf.mn_primitive, BINARY_CUBIC_EXPONENTS, "binary factor", None],
         [pf.xyz_primitive, TERNARY_CUBIC_EXPONENTS, "ternary factor", None],
     ]
-    box = 0
-    for box in boxes:
+    cap = caps.modulus_cap
+    for box in caps.ladder:
         for fac in factors:
             if fac[3] is None:
                 fac[3] = search_box(fac[0], fac[1], box)

@@ -5,11 +5,12 @@ and on any failure) and asserts the claim.  Criterion order and wording
 track the package README's claims table.
 """
 
-from cf3.acceptance import (ClaimResult, SolverCaps, claim_census_counts,
+from cf3.acceptance import (ClaimResult, claim_census_counts,
                             claim_classification_counts, claim_commutant_statements,
                             claim_counterexample, claim_frobenius_sweep,
                             claim_pell_oracle, claim_sail_invariants,
                             determinism_check, exit_code)
+from cf3.solver import Caps
 
 
 def report(number, name, outcome):
@@ -54,7 +55,7 @@ def test_criterion_8_worker_determinism():
 def test_zero_caps_leave_witness_claims_undecided():
     """Cap semantics behind the repro exit-3 contract: with searching and
     obstruction both disabled, the witness claims are undecided, not failed."""
-    caps = SolverCaps(box_bound=0, modulus_cap=0)
+    caps = Caps(box=0, modulus_cap=0)
     ok, undecided, _ = claim_counterexample(caps=caps)
     assert (ok, undecided) == (False, True)
     ok, undecided, _ = claim_frobenius_sweep(caps=caps)

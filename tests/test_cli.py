@@ -52,6 +52,13 @@ def test_frobenius_zero_caps_undecided(capsys):
     assert json.loads(out)["status"] == "undecided"
 
 
+def test_frobenius_pell_step_cap_undecided(capsys):
+    # the reduction walk of this form runs past its step cap
+    code, out, _ = run_cli(capsys, "frobenius", "--matrix", "0,3;1000000000039,0")
+    assert code == 3
+    assert json.loads(out)["status"] == "undecided"
+
+
 def test_frobenius_golden_witness(capsys):
     code, out, _ = run_cli(capsys, "frobenius", "--matrix", GOLDEN)
     assert code == 0
@@ -141,6 +148,13 @@ def test_sail_tiny_radius_cannot_draw_svg(capsys, tmp_path):
     assert code == 3
     assert "no certified faces" in err
     assert not svg_path.exists()
+
+
+def test_sail_unit_box_cap_exits_3(capsys):
+    # a norm-69 conjugate of M(0,3,1) with no unit pair within UNIT_BOXES
+    code, _, err = run_cli(capsys, "sail", "--matrix", "5,-7,10;-1,2,9;11,-17,-7")
+    assert code == 3
+    assert "fewer than two independent positive units" in err
 
 
 def test_hunt_stream(capsys):

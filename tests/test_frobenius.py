@@ -1,18 +1,21 @@
 """Frobenius type decisions, both dimensions, and fraction classification."""
 
+import itertools
 import random
 
+import numpy as np
 import pytest
 
-from cf3.census import matrices_in_class
+from cf3.census import matrices_in_class, matrix_from_flat
 from cf3.commutant import commutant_basis
 from cf3.frobenius import (FrobeniusParams, REFERENCE_PARAMS, classify_fraction,
                            classification_report, commuting_frobenius_params,
-                           conjugate_commuting, conjugator_search, decide_thm2,
+                           conjugate_commuting, decide_thm2,
                            decide_thm3, frobenius_matrix, hunt, oracle_2x2,
                            sl2_ball, theorem1_sweep, _commutant_fiber)
 from cf3.intmat import (CharCubic, CharQuad, IntMat, adjugate, char_cubic,
                         char_quad, is_irreducible)
+from cf3.solver import _rank
 
 A42 = IntMat([[1, 2, 0], [0, 1, 2], [-7, 0, 29]])
 GOLDEN = IntMat([[0, 1, 0], [0, 0, 1], [1, 2, -1]])
@@ -151,6 +154,52 @@ def test_theorem1_sweep_small():
     assert report[4]["matrices"] == 240
     assert report[4]["frobenius"] == 240
     assert report[4]["undecided"] == []
+
+
+def conjugator_search(c, r, bound=2):
+    """Literal bounded search over SL(3,Z): the identity first, then every
+    X with max-norm up to the bound in canonical order, returning the
+    first whose conjugate of c commutes with r."""
+    x = IntMat.identity(3)
+    w = x @ c @ adjugate(x)
+    if w @ r == r @ w:
+        return x
+    for shell in range(1, bound + 1):
+        vals = sorted(range(-shell, shell + 1), key=_rank)
+        for flat in _nine_tuples(vals, shell):
+            x = matrix_from_flat(flat)
+            if x.det() != 1:
+                continue
+            w = x @ c @ adjugate(x)
+            if w @ r == r @ w:
+                return x
+    return None
+
+
+def _nine_tuples(vals, shell):
+    """9-tuples over vals whose max-norm is exactly shell, in
+    lexicographic order, det filtered in numpy chunks."""
+    chunk = []
+    for flat in itertools.product(vals, repeat=9):
+        if max(abs(v) for v in flat) != shell:
+            continue
+        chunk.append(flat)
+        if len(chunk) == 65536:
+            yield from _det_one(chunk)
+            chunk = []
+    yield from _det_one(chunk)
+
+
+def _det_one(flats):
+    if not flats:
+        return
+    arr = np.array(flats, dtype=np.int64)
+    a, b, c = arr[:, 0], arr[:, 1], arr[:, 2]
+    d, e_, f = arr[:, 3], arr[:, 4], arr[:, 5]
+    g, h, i = arr[:, 6], arr[:, 7], arr[:, 8]
+    det = a * (e_ * i - f * h) - b * (d * i - f * g) + c * (d * h - e_ * g)
+    for idx in np.flatnonzero(det == 1):
+        yield flats[idx]
 
 
 def test_conjugator_search_identity_first():

@@ -1,0 +1,46 @@
+"""Module layering: every import inside cf3 points strictly down the stack.
+
+frobenius and sail share a rank, so neither may import the other.
+"""
+
+import ast
+from pathlib import Path
+
+RANKS = {
+    "intmat": 0, "zlinalg": 1, "roots": 2, "parallel": 3, "census": 4,
+    "commutant": 5,
+    "forms": 6,
+    "solver": 7,
+    "frobenius": 8, "sail": 8,
+    "acceptance": 9,
+    "cli": 10,
+    "__init__": 11,
+}
+
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "cf3"
+
+
+def _imported_modules(tree):
+    """cf3 modules named by the relative imports anywhere in a module,
+    function bodies included."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            if node.module:
+                yield node.module.split(".")[0]
+            else:
+                yield from (alias.name for alias in node.names)
+
+
+def test_every_module_has_a_rank():
+    assert {p.stem for p in PACKAGE.glob("*.py")} == set(RANKS)
+
+
+def test_imports_point_strictly_down():
+    upward = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        rank = RANKS[path.stem]
+        for target in _imported_modules(ast.parse(path.read_text())):
+            if RANKS[target] >= rank:
+                upward.append("%s imports %s" % (path.stem, target))
+    assert upward == []
+

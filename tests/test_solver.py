@@ -8,11 +8,9 @@ from cf3.commutant import basis_from_pair
 from cf3.forms import (BinaryCubicForm, BinaryQF, TernaryCubicForm,
                        product_form, q2, q3)
 from cf3.intmat import IntMat, is_irreducible
-from cf3.solver import (BINARY_CUBIC_EXPONENTS, BINARY_QUAD_EXPONENTS,
-                        DecideConfig, TERNARY_CUBIC_EXPONENTS,
+from cf3.solver import (BINARY_CUBIC_EXPONENTS, BINARY_QUAD_EXPONENTS, Caps,
                         _search_box_python, decide_product, decide_quadratic,
-                        decide_unit_values, modular_obstruction, pell_decide,
-                        search_box)
+                        modular_obstruction, pell_decide, search_box)
 
 A42 = IntMat([[1, 2, 0], [0, 1, 2], [-7, 0, 29]])
 GOLDEN = IntMat([[0, 1, 0], [0, 0, 1], [1, 2, -1]])
@@ -99,13 +97,6 @@ def test_residues_match_direct_enumeration():
         assert _residues_mod(coeffs, BINARY_QUAD_EXPONENTS, q) == frozenset(want)
 
 
-def test_unknown_verdict_when_caps_too_small():
-    r = decide_unit_values((1, 0, 0, 5), BINARY_CUBIC_EXPONENTS, 0, 1)
-    assert r.verdict == "unknown"
-    assert r.search_bound == 0
-    assert r.modulus_cap == 1
-
-
 # ---------------------------------------------------------------- quadratics
 
 def test_pell_fibonacci_form_represents_both_units():
@@ -139,6 +130,12 @@ def test_pell_rejects_definite_and_square_disc():
         pell_decide(BinaryQF(1, 0, 1))
     with pytest.raises(ValueError):
         pell_decide(BinaryQF(1, 0, -1))
+
+
+def test_pell_step_cap_returns_unknown(monkeypatch):
+    import cf3.solver
+    monkeypatch.setattr(cf3.solver, "PELL_STEP_CAP", 1)
+    assert pell_decide(BinaryQF(3, 0, -5)).verdict == "unknown"
 
 
 def test_pell_agrees_with_box_search():
@@ -179,9 +176,11 @@ def test_content_shortcut():
     assert r.certificate.residues == (0,)
 
 
-def test_square_disc_fallback():
-    assert decide_quadratic(BinaryQF(1, 0, -1)).verdict == "solvable"
-    assert decide_quadratic(BinaryQF(0, 1, 0)).verdict == "solvable"
+def test_square_disc_raises():
+    # q2 of an irreducible matrix never has a square discriminant
+    for qf in (BinaryQF(1, 0, -1), BinaryQF(0, 1, 0)):
+        with pytest.raises(ValueError):
+            decide_quadratic(qf)
 
 
 def test_decide_quadratic_on_matrix_forms():
@@ -231,11 +230,14 @@ def test_product_content_certificate():
 
 
 def test_product_unknown_with_tiny_caps():
-    cfg = DecideConfig(box_product=0, modulus_cap=1)
-    r = decide_product(q3(GOLDEN), cfg)
+    r = decide_product(q3(GOLDEN), Caps(box=0, modulus_cap=1))
     assert r.verdict == "unknown"
+    assert r.search_bound == 0
+    assert r.modulus_cap == 1
 
 
 def test_config_defaults():
-    cfg = DecideConfig()
-    assert (cfg.box_quadratic, cfg.box_product, cfg.modulus_cap) == (25, 12, 100)
+    assert Caps().ladder == (12, 25, 50)
+    assert Caps().modulus_cap == 100
+    assert Caps(box=30).ladder == (12, 25, 30)
+    assert Caps(box=0).ladder == (0,)
