@@ -22,7 +22,6 @@ from .intmat import IntMat, is_irreducible
 from .zlinalg import (
     coords_in_basis,
     hnf_basis,
-    det_exact,
     mat_mul,
     right_kernel,
     solve_unique,
@@ -162,6 +161,6 @@ def power_basis_index(c, lattice=None):
         coords = coords_in_basis(vecs, list(m.flat()))
         assert coords is not None and all(f.denominator == 1 for f in coords)
         rows.append([int(f) for f in coords])
-    d = det_exact(rows)
+    d = IntMat(rows).det()
     assert d != 0
-    return abs(int(d))
+    return abs(d)

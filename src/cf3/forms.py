@@ -111,15 +111,6 @@ class BinaryCubicForm:
         return (self.c30 * m ** 3 + self.c21 * m ** 2 * n
                 + self.c12 * m * n ** 2 + self.c03 * n ** 3)
 
-    def clearing_scalar(self):
-        """Positive lcm of the coefficient denominators."""
-        return lcm(*[Fraction(c).denominator for c in self.as_tuple()])
-
-    def cleared(self):
-        """Integer coefficients after multiplying by the clearing scalar."""
-        s = self.clearing_scalar()
-        return tuple(int(Fraction(c) * s) for c in self.as_tuple())
-
     def primitive(self):
         return _primitive_scaled(self.as_tuple())
 

@@ -426,5 +426,6 @@ def hunt(norm, count, seed, dim=3, workers=1):
         if classify_matrix(matrix_from_flat(flat)) == REDUCIBLE:
             continue
         flats.append(flat)
+    # Costs range from milliseconds to seconds, so each sample is its own task.
     return parallel_map_chunked(_hunt_chunk, flats, workers=workers,
-                                chunk_size=32)
+                                chunk_size=1)

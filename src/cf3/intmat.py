@@ -1,9 +1,9 @@
 """Small dense integer matrices with exact characteristic data.
 
 Matrices here are 2x2 or 3x3 and immutable.  All arithmetic is arbitrary
-precision integer (or Fraction where a rational is unavoidable); this module
-never touches floating point.  The characteristic polynomial of a 3x3 matrix
-is carried in the sign convention
+precision integer; this module never touches Fractions or floating point.
+The characteristic polynomial of a 3x3 matrix is carried in the sign
+convention
 
     chi(x) = -x^3 + a1*x^2 - a2*x + a3,
 
@@ -16,8 +16,7 @@ this one.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from math import gcd, isqrt
+from math import isqrt
 
 
 class IntMat:
@@ -289,11 +288,3 @@ def parse_matrix(text):
 def format_matrix(m):
     """Inverse of parse_matrix."""
     return ";".join(",".join(str(x) for x in row) for row in m.rows)
-
-
-def content_gcd(values):
-    """Nonnegative gcd of an iterable of integers (0 for an empty/zero set)."""
-    g = 0
-    for v in values:
-        g = gcd(g, v)
-    return g

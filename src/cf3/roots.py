@@ -96,30 +96,6 @@ def poly_gcd(p, q):
     return poly_scale(a, Fraction(1, 1) / a[0])
 
 
-def poly_xgcd(p, q):
-    """(g, u, v) with u*p + v*q = g and g the monic gcd."""
-    a, b = poly_strip(p), poly_strip(q)
-    ua, va = (Fraction(1),), ()
-    ub, vb = (), (Fraction(1),)
-    while b:
-        quo, rem = poly_divmod(a, b)
-        a, b = b, rem
-        ua, ub = ub, poly_sub(ua, poly_mul(quo, ub))
-        va, vb = vb, poly_sub(va, poly_mul(quo, vb))
-    if not a:
-        return (), (), ()
-    inv = Fraction(1, 1) / a[0]
-    return poly_scale(a, inv), poly_scale(ua, inv), poly_scale(va, inv)
-
-
-def poly_inverse_mod(p, chi):
-    """u with u*p = 1 (mod chi); requires gcd(p, chi) = 1."""
-    g, u, _ = poly_xgcd(p, chi)
-    if poly_degree(g) != 0:
-        raise ValueError("polynomial is not invertible modulo the given modulus")
-    return poly_mod(u, chi)
-
-
 def interval_eval(p, lo, hi):
     """Exact enclosure of p over [lo, hi] by interval Horner evaluation."""
     lo, hi = Fraction(lo), Fraction(hi)

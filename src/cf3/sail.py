@@ -34,7 +34,7 @@ from .roots import (
     sign_at_root,
 )
 from .solver import TERNARY_CUBIC_EXPONENTS, grid_coords, grid_values
-from .zlinalg import coords_in_basis, det_exact, hnf_with_transform, inverse_unimodular
+from .zlinalg import coords_in_basis, hnf_with_transform, inverse_unimodular
 
 ROOT_WIDTH = Fraction(1, 2**60)
 FACE_BOX_CAP = 512
@@ -48,25 +48,17 @@ class CoverageError(RuntimeError):
     the radius ladder, or no unit pair within the unit boxes."""
 
 
-def _poly_entry(value, diagonal):
-    # Entry of C - x*E as a polynomial: degree 1 on the diagonal.
-    return poly_strip((-1, value)) if diagonal else poly_strip((value,))
-
-
 def _char_adjugate(c):
-    """Entries of adj(C - x*E) as integer polynomials (3x3 nested tuples)."""
-    m = [[_poly_entry(c.rows[i][j], i == j) for j in range(3)] for i in range(3)]
+    """Entries of adj(C - x*E) as integer polynomials (3x3 nested tuples).
 
-    def minor(i, j):
-        ri = [r for r in range(3) if r != i]
-        cj = [s for s in range(3) if s != j]
-        a = poly_mul(m[ri[0]][cj[0]], m[ri[1]][cj[1]])
-        b = poly_mul(m[ri[0]][cj[1]], m[ri[1]][cj[0]])
-        return poly_add(a, poly_scale(b, -1))
-
-    # adj[i][j] is the (j, i) cofactor, so adj(M) @ M = det(M) * E.
+    By Cayley-Hamilton, adj(C - x*E) = x^2*E + x*(C - a1*E) + (C^2 - a1*C + a2*E).
+    """
+    a1, a2, _ = char_cubic(c).as_tuple()
+    e = IntMat.identity(3)
+    lin = c - a1 * e
+    const = c @ lin + a2 * e
     return tuple(
-        tuple(poly_scale(minor(j, i), (-1) ** (i + j)) for j in range(3))
+        tuple(poly_strip((int(i == j), lin[i, j], const[i, j])) for j in range(3))
         for i in range(3))
 
 
@@ -183,7 +175,7 @@ def eigen_cone(c):
     col = tuple(adj[i][cidx] for i in range(3))
     # Nonsingular coefficient matrix of the dual row: no integer point on a wall.
     coeff = [list(reversed(p)) + [0] * (3 - len(p)) for p in row]
-    assert det_exact(coeff) != 0, "eigenplane contains a lattice vector"
+    assert IntMat(coeff).det() != 0, "eigenplane contains a lattice vector"
     duals = []
     rays = []
     for i in range(3):
@@ -211,10 +203,6 @@ class Face:
     offset: int
     vertices: tuple
     area2: int
-
-    @property
-    def vcount(self):
-        return len(self.vertices)
 
     def key(self):
         return (self.normal, self.offset, self.vertices)

@@ -1,9 +1,11 @@
-"""Exact linear algebra over the integers and rationals.
+"""Exact linear algebra over the integers.
 
 Row-style Hermite reduction with a tracked unimodular transform is the
 workhorse: it yields canonical lattice bases, integer kernels (automatically
-saturated, because the transform is unimodular), and lattice membership
-tests.  Systems that genuinely need division are solved with Fractions.
+saturated, because the transform is unimodular), lattice membership tests,
+inverses of unimodular matrices, and the solutions of linear systems, read
+off an integer kernel.  A Fraction appears only as the returned solution of
+a system whose answer is rational.
 
 Matrices in this module are plain lists of lists; sizes run up to 9x9 (the
 commutator systems of 3x3 matrices), where dense exact elimination is
@@ -102,10 +104,6 @@ def hnf_basis(rows):
     return [h[i] for i in range(rank)]
 
 
-def lattices_equal(rows_a, rows_b):
-    return hnf_basis(rows_a) == hnf_basis(rows_b)
-
-
 def left_kernel(rows):
     """Basis of {u integer : u @ rows == 0}; saturated by construction."""
     h, u, rank = hnf_with_transform(rows)
@@ -120,76 +118,37 @@ def right_kernel(rows):
 def solve_unique(rows, rhs):
     """Exact solution of an overdetermined full-column-rank linear system.
 
-    ``rows`` is an m x n coefficient matrix (m >= n, rank n expected) and
-    ``rhs`` a length-m vector.  Returns the unique solution as a list of
-    Fractions, or None when the system is inconsistent.  Raises ValueError
-    when the columns are dependent (no unique solution exists).
+    ``rows`` is an m x n integer coefficient matrix (m >= n, rank n expected)
+    and ``rhs`` a length-m integer vector.  Returns the unique solution as a
+    list of Fractions, or None when the system is inconsistent.  Raises
+    ValueError when the columns are dependent (no unique solution exists).
+
+    The integer kernel of [rows | -rhs] is empty exactly when the system is
+    inconsistent, and is one vector (x, t) with t != 0 exactly when the
+    solution x / t is unique.
     """
-    m = len(rows)
-    n = len(rows[0]) if m else 0
-    a = [[Fraction(x) for x in row] + [Fraction(rhs[i])] for i, row in enumerate(rows)]
-    row_at = 0
-    pivots = []
-    for c in range(n):
-        piv = next((i for i in range(row_at, m) if a[i][c] != 0), None)
-        if piv is None:
-            continue
-        a[row_at], a[piv] = a[piv], a[row_at]
-        inv = 1 / a[row_at][c]
-        a[row_at] = [x * inv for x in a[row_at]]
-        for i in range(m):
-            if i != row_at and a[i][c] != 0:
-                f = a[i][c]
-                a[i] = [a[i][k] - f * a[row_at][k] for k in range(n + 1)]
-        pivots.append(c)
-        row_at += 1
-    if len(pivots) < n:
-        raise ValueError("columns are linearly dependent; no unique solution")
-    if any(a[i][n] != 0 for i in range(row_at, m)):
+    kernel = right_kernel([list(row) + [-b] for row, b in zip(rows, rhs)])
+    if not kernel:
         return None
-    x = [Fraction(0)] * n
-    for i, c in enumerate(pivots):
-        x[c] = a[i][n]
-    return x
-
-
-def det_exact(rows):
-    """Determinant of a small square matrix of ints/Fractions, exactly."""
-    n = len(rows)
-    a = [[Fraction(x) for x in row] for row in rows]
-    det = Fraction(1)
-    for c in range(n):
-        piv = next((i for i in range(c, n) if a[i][c] != 0), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != c:
-            a[c], a[piv] = a[piv], a[c]
-            det = -det
-        det *= a[c][c]
-        inv = 1 / a[c][c]
-        for i in range(c + 1, n):
-            if a[i][c] != 0:
-                f = a[i][c] * inv
-                a[i] = [a[i][k] - f * a[c][k] for k in range(n)]
-    return det
+    if len(kernel) > 1 or kernel[0][-1] == 0:
+        raise ValueError("columns are linearly dependent; no unique solution")
+    *x, t = kernel[0]
+    return [Fraction(v, t) for v in x]
 
 
 def inverse_unimodular(rows):
-    """Exact inverse of a unimodular integer matrix, as integer rows."""
-    n = len(rows)
-    inv_cols = []
-    for j in range(n):
-        e = [int(i == j) for i in range(n)]
-        col = solve_unique(rows, e)
-        inv_cols.append(col)
-    inv = [[inv_cols[j][i] for j in range(n)] for i in range(n)]
-    assert all(f.denominator == 1 for row in inv for f in row), "matrix is not unimodular"
-    return [[int(f) for f in row] for row in inv]
+    """Exact inverse of a unimodular integer matrix, as integer rows.
+
+    The Hermite form of a unimodular matrix is the identity, so the transform
+    that reaches it is the inverse.
+    """
+    h, u, _ = hnf_with_transform(rows)
+    assert h == identity_rows(len(rows)), "matrix is not unimodular"
+    return u
 
 
 def unimodular_with_first_row(v):
     """Some unimodular integer matrix whose first row is the primitive ``v``."""
-    n = len(v)
     h, u, rank = hnf_with_transform([[x] for x in v])
     assert rank == 1 and h[0][0] == 1, "vector must be primitive"
     # u @ v_col = e1, so v is the first column of u^-1; transpose to a row

@@ -77,8 +77,6 @@ def test_p_bar_golden():
     assert (basis.alpha, basis.beta) == (Fraction(1, 2), -15)
     f = p_bar(char_cubic(A42), basis.alpha, basis.beta)
     assert f.as_tuple() == (1, -14, 0, Fraction(7, 2))
-    assert f.clearing_scalar() == 2
-    assert f.cleared() == (2, -28, 0, 7)
     prim, scale = f.primitive()
     assert prim == (2, -28, 0, 7)
     assert scale == 2

@@ -14,11 +14,8 @@ from cf3.roots import (
     poly_divmod,
     poly_eval,
     poly_gcd,
-    poly_inverse_mod,
-    poly_mod,
     poly_mul,
     poly_strip,
-    poly_xgcd,
     refine_interval,
     sign_at_root,
     sturm_chain,
@@ -50,24 +47,10 @@ def test_divmod_random_roundtrip():
         assert poly_degree(rem) < poly_degree(poly_strip(den))
 
 
-def test_gcd_and_xgcd():
-    from cf3.roots import poly_add
-
+def test_poly_gcd():
     p = poly_mul((1, -1), (1, 0, 1))
     q = poly_mul((1, -1), (1, 2))
     assert poly_gcd(p, q) == (1, -1)
-    g, u, v = poly_xgcd(p, q)
-    assert g == (1, -1)
-    assert poly_add(poly_mul(u, p), poly_mul(v, q)) == g
-
-
-def test_inverse_mod_cubic():
-    chi = (1, 1, -2, -1)
-    p = (1, 0, -1)
-    inv = poly_inverse_mod(p, chi)
-    assert poly_mod(poly_mul(inv, p), chi) == (Fraction(1),)
-    with pytest.raises(ValueError):
-        poly_inverse_mod(chi, chi)
 
 
 def test_sturm_counts_cubic_with_known_roots():

@@ -4,14 +4,13 @@ import numpy as np
 import pytest
 
 from cf3.intmat import IntMat, adjugate
-from cf3.roots import poly_add, poly_eval, poly_mod, poly_mul, poly_sub, sign_at_root
+from cf3.roots import poly_add, poly_eval, poly_mod, poly_mul, poly_strip, poly_sub, sign_at_root
 from cf3.sail import (
     _cell_candidates,
     _char_adjugate,
     _combo_poly,
     _commutant_coords,
     _eig_poly,
-    _poly_entry,
     compute_sail,
     dirichlet_generators,
     eigen_cone,
@@ -34,7 +33,7 @@ def conjugate(p, c):
 
 def char_entry_product(c, i, k, poly):
     # poly * (C - xE)[i][k], for symbolic eigen identities.
-    return poly_mul(_poly_entry(c.rows[i][k], i == k), poly)
+    return poly_mul(poly_strip((-int(i == k), c.rows[i][k])), poly)
 
 
 def test_char_adjugate_matches_integer_adjugate():

@@ -3,14 +3,15 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from cf3.zlinalg import (
     coords_in_basis,
-    det_exact,
     hnf_basis,
     hnf_with_transform,
+    identity_rows,
     inverse_unimodular,
-    lattices_equal,
     left_kernel,
     mat_mul,
     mat_vec,
@@ -40,7 +41,7 @@ def test_hnf_transform_properties():
         rows = random_rows(rng, rng.randint(1, 5), rng.randint(1, 5))
         h, u, rank = hnf_with_transform(rows)
         assert mat_mul(u, rows) == h
-        assert det_exact(u) in (1, -1)
+        assert mat_mul(u, inverse_unimodular(u)) == identity_rows(len(u))
         assert all(all(x == 0 for x in h[i]) for i in range(rank, len(h)))
         # pivots positive, entries above reduced into [0, pivot)
         for i in range(rank):
@@ -59,8 +60,8 @@ def test_hnf_canonical_for_lattice():
         shuffled = rows[::-1] + [
             [rows[0][j] + 2 * rows[1][j] for j in range(4)],
         ]
-        assert hnf_basis(shuffled) == basis or not lattices_equal(rows, shuffled)
-        assert lattices_equal(rows, rows[::-1])
+        assert hnf_basis(shuffled) == basis
+        assert hnf_basis(rows[::-1]) == basis
 
 
 def test_kernels():
@@ -99,17 +100,36 @@ def test_solve_unique():
     assert solve_unique([[2, 0], [0, 3], [2, 3]], [4, 9, 14]) is None
     with pytest.raises(ValueError):
         solve_unique([[1, 2], [2, 4], [3, 6]], [1, 2, 3])
+    # dependent columns and an inconsistent right-hand side
+    with pytest.raises(ValueError):
+        solve_unique([[1, 2], [2, 4], [3, 6]], [1, 2, 4])
 
 
 def test_solve_unique_fractions():
     x = solve_unique([[2]], [1])
     assert x == [Fraction(1, 2)]
+    assert solve_unique([[2, 0], [0, -3], [2, 3]], [1, 1, 0]) == [Fraction(1, 2), Fraction(-1, 3)]
 
 
-def test_det_exact():
-    assert det_exact([[1, 2], [3, 4]]) == -2
-    assert det_exact([[Fraction(1, 2), 0], [0, 4]]) == 2
-    assert det_exact([[1, 2], [2, 4]]) == 0
+@st.composite
+def full_rank_systems(draw):
+    n = draw(st.integers(1, 3))
+    m = draw(st.integers(3, 9))
+    row = st.lists(st.integers(-9, 9), min_size=n, max_size=n)
+    a = draw(st.lists(row, min_size=m, max_size=m))
+    assume(len(hnf_basis(a)) == n)
+    y = draw(st.lists(st.integers(-50, 50), min_size=n, max_size=n))
+    d = draw(st.integers(-12, 12).filter(bool))
+    return a, y, d
+
+
+@settings(deadline=None)
+@given(full_rank_systems())
+def test_solve_unique_recovers_scaled_solution(system):
+    # (d*A) x = A y has the unique solution x = y / d
+    a, y, d = system
+    scaled = [[d * x for x in row] for row in a]
+    assert solve_unique(scaled, mat_vec(a, y)) == [Fraction(v, d) for v in y]
 
 
 def test_inverse_unimodular():
@@ -125,6 +145,9 @@ def test_inverse_unimodular():
                 m[i][k] += c * m[j][k]
         inv = inverse_unimodular(m)
         assert mat_mul(m, inv) == [[int(i == j) for j in range(n)] for i in range(n)]
+    for singular_or_det2 in ([[1, 2], [2, 4]], [[2, 0], [0, 1]], [[1, 1, 0], [0, 1, 1], [1, 0, 1]]):
+        with pytest.raises(AssertionError, match="not unimodular"):
+            inverse_unimodular(singular_or_det2)
 
 
 def test_unimodular_with_first_row():
@@ -142,7 +165,7 @@ def test_unimodular_with_first_row():
     for v in cases:
         w = unimodular_with_first_row(v)
         assert w[0] == list(v)
-        assert det_exact(w) in (1, -1)
+        assert mat_mul(w, inverse_unimodular(w)) == identity_rows(len(w))
 
 
 def test_coords_in_basis():
