@@ -177,12 +177,21 @@ def search_box(coeffs, exponents, bound, targets=UNIT_TARGETS):
 @lru_cache(maxsize=65536)
 def _residues_mod(coeffs, exponents, q):
     """All residues the form attains on (Z/q)^arity."""
-    reduced = tuple(c % q for c in coeffs)
-    # Coordinates are below q and the forms at most cubic, so no term
-    # exceeds c * (q - 1)**3.
-    assert sum(reduced) * (q - 1) ** 3 < 2**62
     coords = grid_coords(np.arange(q, dtype=np.int64), len(exponents[0]))
-    total = grid_values(reduced, exponents, coords) % q
+    maxdeg = max(max(e) for e in exponents)
+    powers = []
+    for g in coords:
+        col = [np.ones_like(g)]
+        for _ in range(maxdeg):
+            col.append((col[-1] * g) % q)
+        powers.append(col)
+    total = np.zeros_like(coords[0])
+    for c, exps in zip(coeffs, exponents):
+        term = np.full_like(coords[0], c % q)
+        for gi, e in enumerate(exps):
+            if e:
+                term = (term * powers[gi][e]) % q
+        total = (total + term) % q
     return frozenset(int(v) for v in np.unique(total))
 
 
