@@ -44,8 +44,8 @@ CELL_BAND = 1e-6
 
 
 class CoverageError(RuntimeError):
-    """A cap was reached: no sail patch covering a fundamental domain within
-    the radius ladder, or no unit pair within the unit boxes."""
+    """A cap was reached: the radius ladder, the unit boxes, the unit group
+    index search or the refinements of a root enclosure ran out."""
 
 
 def _char_adjugate(c):
@@ -243,6 +243,31 @@ def _cone_points(cone, bound):
     return np.vstack(found)
 
 
+def _strip_points(normal, offset, bound):
+    """Box points p with 1 <= N.p <= offset and their N.p values, in chunks
+    of at most one box slice, solved for the coordinate of largest |N_k|."""
+    k = max(range(3), key=lambda t: abs(normal[t]))
+    a, b = (t for t in range(3) if t != k)
+    sign, nk = (1, normal[k]) if normal[k] > 0 else (-1, -normal[k])
+    rng = np.arange(-bound, bound + 1, dtype=np.int64)
+    n = len(rng)
+    w0 = (normal[a] * rng[:, None] + normal[b] * rng[None, :]).ravel()
+    # The range of y = sign * x_k with 1 <= w0 + nk * y <= offset in the box.
+    lo = np.maximum(-((w0 - 1) // nk), -bound)
+    count = np.maximum(np.minimum((offset - w0) // nk, bound) - lo + 1, 0)
+    ends = np.cumsum(count)
+    start = 0
+    while start < n * n:
+        base = ends[start] - count[start]
+        stop = int(np.searchsorted(ends, base + n * n, "right"))
+        pair = np.repeat(np.arange(start, stop), count[start:stop])
+        y = lo[pair] + count[pair] - ends[pair] + base + np.arange(len(pair))
+        pts = np.empty((len(pair), 3), dtype=np.int64)
+        pts[:, a], pts[:, b], pts[:, k] = rng[pair // n], rng[pair % n], sign * y
+        yield pts, w0[pair] + nk * y
+        start = stop
+
+
 def _gcd3(a, b, c):
     return math.gcd(math.gcd(abs(a), abs(b)), abs(c))
 
@@ -254,7 +279,7 @@ def _positive_pairing_bound(cone, combo, i):
         if lo > 0:
             return lo, hi
         cone.refine(cone.width() / 4)
-    raise AssertionError("positive pairing failed to separate from zero")
+    raise CoverageError("positive pairing failed to separate from zero")
 
 
 def _cross(u, v):
@@ -341,15 +366,8 @@ def _certify_face(cone, normal, offset, box_cap=FACE_BOX_CAP):
     bound = int(corner) + 2
     if bound > box_cap:
         return None
-    nvec = np.asarray(normal, dtype=np.int64)
     plane_pts = []
-    for pts in _box_slices(bound):
-        w = pts @ nvec
-        near = (w >= 1) & (w <= offset)
-        if not near.any():
-            continue
-        pts = pts[near]
-        w = w[near]
+    for pts, w in _strip_points(normal, offset, bound):
         mask = cone.interior_mask(pts)
         if (mask & (w < offset)).any():
             return None
@@ -488,7 +506,7 @@ def _positive_enclosure(state, lam, i):
         width = max(h - l for l, h in state.intervals) / 4
         state.intervals[:] = [refine_interval(state.chi, l, h, width)
                               for l, h in state.intervals]
-    raise AssertionError("positive eigenvalue failed to separate from zero")
+    raise CoverageError("positive eigenvalue failed to separate from zero")
 
 
 def _unit_log(state, coords):
@@ -615,7 +633,7 @@ def _absorb(state, gens, u, lu):
             gens[:] = new
             _reduce_pair(state, gens)
             return
-    raise AssertionError("unit group index search exhausted")
+    raise CoverageError("unit group index search exhausted")
 
 
 def dirichlet_generators(c):
@@ -640,12 +658,13 @@ def dirichlet_generators(c):
     for box in UNIT_BOXES:
         pool = []
         for coords in _unit_pool(form, box):
-            if coords == (1, 0, 0) or coords == (-1, 0, 0):
+            if coords == (1, 0, 0):
                 continue
-            lam = _eig_poly(coords, fa, fb)
-            if all(sign_at_root(lam, chi, *state.intervals[i]) > 0 for i in range(3)):
-                u = _unit_matrix(basis, coords)
-                assert u.det() == 1
+            # u is a polynomial in c, so its eigenvalues are real; alternating
+            # coefficients make x^3 - a1 x^2 + a2 x - a3 negative for x <= 0.
+            a1, a2, a3 = char_cubic(_unit_matrix(basis, coords)).as_tuple()
+            if a1 > 0 and a2 > 0 and a3 > 0:
+                assert a3 == 1
                 pool.append((coords, _unit_log(state, coords)))
         pool.sort(key=lambda item: (_norm_inf(item[1]), item[0]))
         gens = []

@@ -5,6 +5,7 @@ import subprocess
 import sys
 from fractions import Fraction
 
+from cf3 import sail
 from cf3.cli import main
 
 GOLDEN = "0,1,0;0,0,1;1,2,-1"
@@ -155,6 +156,14 @@ def test_sail_unit_box_cap_exits_3(capsys):
     code, _, err = run_cli(capsys, "sail", "--matrix", "5,-7,10;-1,2,9;11,-17,-7")
     assert code == 3
     assert "fewer than two independent positive units" in err
+
+
+def test_sail_enclosure_cap_exits_3(capsys, monkeypatch):
+    # Without refinement the unit eigenvalue enclosures never separate.
+    monkeypatch.setattr(sail, "refine_interval", lambda p, lo, hi, width: (lo, hi))
+    code, _, err = run_cli(capsys, "sail", "--matrix", GOLDEN)
+    assert code == 3
+    assert "positive eigenvalue failed to separate from zero" in err
 
 
 def test_hunt_stream(capsys):

@@ -2,15 +2,40 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, reject, settings
+from hypothesis import strategies as st
 
-from cf3.intmat import IntMat, adjugate
-from cf3.roots import poly_add, poly_eval, poly_mod, poly_mul, poly_strip, poly_sub, sign_at_root
+from cf3.commutant import commutant_basis, express_in_powers
+from cf3.forms import det_form
+from cf3.intmat import IntMat, adjugate, char_cubic
+from cf3.roots import (
+    isolate_real_roots,
+    poly_add,
+    poly_eval,
+    poly_mod,
+    poly_mul,
+    poly_strip,
+    poly_sub,
+    refine_interval,
+    sign_at_root,
+)
 from cf3.sail import (
+    ROOT_WIDTH,
+    CoverageError,
+    _absorb,
+    _box_slices,
     _cell_candidates,
     _char_adjugate,
     _combo_poly,
     _commutant_coords,
     _eig_poly,
+    _GroupState,
+    _mat_power,
+    _positive_enclosure,
+    _positive_pairing_bound,
+    _strip_points,
+    _unit_matrix,
+    _unit_pool,
     compute_sail,
     dirichlet_generators,
     eigen_cone,
@@ -22,9 +47,12 @@ from cf3.zlinalg import inverse_unimodular
 
 GOLDEN = IntMat([[0, 1, 0], [0, 0, 1], [1, 2, -1]])
 M131 = IntMat([[0, 1, 0], [0, 0, 1], [1, 3, -1]])
+M031 = IntMat([[0, 1, 0], [0, 0, 1], [1, 3, 0]])
 A42 = IntMat([[1, 2, 0], [0, 1, 2], [-7, 0, 29]])
 E3 = IntMat.identity(3)
 P_UNIMODULAR = IntMat([[1, 1, 0], [0, 1, 1], [1, 1, 1]])
+# (vertex, edge, face orbits, face profile) of M(-1,2,1), as in the README.
+GOLDEN_KEY = (1, 3, 2, ((3, 1), (3, 1)))
 
 
 def conjugate(p, c):
@@ -213,3 +241,100 @@ def test_sail_svg_deterministic():
     assert svg.startswith("<svg")
     assert "polygon" in svg
     assert svg == sail_svg(sail, group)
+
+
+def _slab_oracle(normal, offset, bound):
+    # The slice scan that face certification used before the slab was
+    # enumerated directly: filter every box slice by 1 <= N.p <= offset.
+    nvec = np.asarray(normal, dtype=np.int64)
+    found = set()
+    for pts in _box_slices(bound):
+        w = pts @ nvec
+        found.update(tuple(int(x) for x in p) for p in pts[(w >= 1) & (w <= offset)])
+    return found
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.tuples(*[st.integers(-9, 9)] * 3).filter(any),
+       st.integers(1, 40), st.integers(0, 12))
+def test_strip_points_is_the_box_slab(normal, offset, bound):
+    chunks = list(_strip_points(normal, offset, bound))
+    got = []
+    for pts, w in chunks:
+        assert len(pts) <= (2 * bound + 1) ** 2
+        assert np.array_equal(w, pts @ np.asarray(normal, dtype=np.int64))
+        got.extend(tuple(int(x) for x in p) for p in pts)
+    assert len(got) == len(set(got))
+    assert set(got) == _slab_oracle(normal, offset, bound)
+
+
+@pytest.mark.parametrize("c", [
+    GOLDEN, M131, M031, conjugate(P_UNIMODULAR, GOLDEN),
+    conjugate(P_UNIMODULAR, M131),
+    conjugate(IntMat([[1, 0, 2], [0, 1, 0], [0, -1, 1]]), M031),
+])
+def test_descartes_total_positivity_matches_root_signs(c):
+    # The coefficient-sign test of dirichlet_generators agrees with exact
+    # signs of the unit's eigenvalue polynomial at every root of chi.
+    basis = commutant_basis(c)
+    chi = (1,) + char_cubic(c).monic()
+    intervals = [refine_interval(chi, lo, hi, ROOT_WIDTH)
+                 for lo, hi in isolate_real_roots(chi)]
+    fa = express_in_powers(c, basis.a)
+    fb = express_in_powers(c, basis.b)
+    positive = 0
+    for coords in _unit_pool(det_form(basis.members()), 8):
+        cubic = char_cubic(_unit_matrix(basis, coords)).as_tuple()
+        descartes = all(x > 0 for x in cubic)
+        lam = _eig_poly(coords, fa, fb)
+        assert descartes == all(sign_at_root(lam, chi, *iv) > 0 for iv in intervals)
+        positive += descartes
+    assert positive > 1
+
+
+def test_positive_enclosure_cap_raises_coverage_error():
+    # chi vanishes at its own root, so its enclosure never excludes zero.
+    group = dirichlet_generators(GOLDEN)
+    state = _GroupState(group.basis, group.chi, list(group.intervals),
+                        group.fa, group.fb)
+    with pytest.raises(CoverageError, match="positive eigenvalue"):
+        _positive_enclosure(state, group.chi, 0)
+
+
+def test_positive_pairing_cap_raises_coverage_error():
+    cone = eigen_cone(GOLDEN)
+    with pytest.raises(CoverageError, match="positive pairing"):
+        _positive_pairing_bound(cone, cone.chi, 1)
+
+
+def test_unit_index_search_cap_raises_coverage_error():
+    # <g1^67, g2> has index 67 in the group, beyond the search up to 64.
+    group = dirichlet_generators(GOLDEN)
+    state = _GroupState(group.basis, group.chi, list(group.intervals),
+                        group.fa, group.fb)
+    gens = [(_mat_power(group.g1, 67), tuple(67 * x for x in group.log1)),
+            (group.g2, group.log2)]
+    with pytest.raises(CoverageError, match="index search exhausted"):
+        _absorb(state, gens, group.g1, group.log1)
+
+
+ELEMENTARY = st.tuples(st.sampled_from([(i, j) for i in range(3) for j in range(3) if i != j]),
+                       st.sampled_from([1, -1]))
+
+
+@settings(derandomize=True, max_examples=15, deadline=None)
+@given(st.lists(ELEMENTARY, max_size=6))
+def test_torus_invariant_conjugation_invariant(word):
+    """The torus invariant of M(-1,2,1) is unchanged by conjugation with an
+    elementary SL(3,Z) word.  A conjugate that reaches a cap (CoverageError)
+    is rejected, not failed; any other exception fails."""
+    p = E3
+    for (i, j), s in word:
+        rows = [[int(r == c) for c in range(3)] for r in range(3)]
+        rows[i][j] = s
+        p = p @ IntMat(rows)
+    try:
+        key = torus_invariant_for(conjugate(p, GOLDEN)).key()
+    except CoverageError:
+        reject()
+    assert key == GOLDEN_KEY
