@@ -1,0 +1,7 @@
+"""The error raised when a search cap is reached (the answer is undecided)."""
+
+
+class CoverageError(RuntimeError):
+    """A cap was reached: the radius ladder, the unit boxes, the unit group
+    index search, the refinements of a root enclosure or the bisections
+    that separate a sign at a root ran out."""

@@ -17,8 +17,10 @@ matrices.  C matches R exactly when some X in SL(3,Z) makes X C X^-1
 commute with R, equivalently when some integer element Y of C's commutant
 with char(Y) = char(R) is conjugate to R.  The search is exact:
 
-* candidates Y = uE + vA + wB are enumerated from an eigenvalue bound on
-  (v, w) (u is pinned by the trace), keeping those with char(Y) = char(R);
+* candidates Y = uE + vA + wB are the integer representations
+  Q(v, w) = T by the trace form Q, a positive definite binary quadratic
+  form, of the integer T that char(R) fixes (u is pinned by the trace);
+  those with char(Y) = char(R) are kept;
 * for each Y the intertwiner lattice {X : XY = RX} has rank 3 and the
   determinant of a general element is an integer ternary cubic, expanded
   exactly by multilinearity;
@@ -35,13 +37,11 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
-from math import ceil, gcd
-
-import numpy as np
+from math import gcd, isqrt
 
 from .census import (HYPERBOLIC, M_ONLY, REDUCIBLE, classify_matrix,
                      matrices_in_class, matrix_from_flat, sphere_size)
-from .commutant import commutant_basis, express_in_powers
+from .commutant import commutant_basis
 from .forms import det_form, q2, q3
 from .intmat import (IntMat, adjugate, char_cubic, format_matrix,
                      is_irreducible, is_square)
@@ -199,45 +199,41 @@ def _ratio_square(d1, d2):
     return is_square(f.numerator) and is_square(f.denominator)
 
 
-def _embedding_bound(c, basis, chi_r):
-    """Integer bound B so that any commutant element with characteristic
-    polynomial chi_r has power-basis coordinates |v|, |w| <= B.
+def _commutant_fiber(basis, chi_r):
+    """All integer commutant elements of basis.c with characteristic polynomial
+    chi_r (at most three exist: the conjugates of a root), sorted by (v, w).
 
-    The coordinates solve S (u, v, w)^T = (eigenvalues of Y), where S has
-    rows (1, lam_A, lam_B) over the embeddings; eigenvalues of Y are roots
-    of chi_r.  Floating point only enters this bound; membership of each
-    candidate is verified exactly afterwards."""
-    chi_c = char_cubic(c)
-    lam_c = np.roots(np.array([1.0] + [float(v) for v in chi_c.monic()]))
-    cols = [np.ones(3, dtype=complex)]
-    for member in (basis.a, basis.b):
-        al, be, ga = express_in_powers(c, member)
-        cols.append(np.array([float(al) * l * l + float(be) * l + float(ga)
-                              for l in lam_c]))
-    s = np.column_stack(cols)
-    sinv = np.linalg.inv(s)
-    rho = max(abs(r) for r in np.roots(
-        np.array([1.0] + [float(v) for v in chi_r.monic()])))
-    bound = float(np.max(np.sum(np.abs(sinv), axis=1))) * rho
-    return int(ceil(1.5 * bound)) + 2
-
-
-def _commutant_fiber(c, basis, chi_r):
-    """All integer commutant elements of c with characteristic polynomial
-    chi_r (at most three exist: the conjugates of a root)."""
-    tr_r = chi_r.a1
+    With y = uE + vA + wB the trace pins u, and tr(y0^2) for the traceless
+    part y0 = v*A0 + w*B0 is the binary form Q(v, w) = qa v^2 + 2qb vw + qc w^2
+    built from the trace form.  chi_r fixes that trace at T = 6 a1^2 - 18 a2,
+    so the candidates are the representations Q(v, w) = T.  The trace form
+    is positive definite on a totally real field, so there are finitely many:
+    qa Q = (qa v + qb w)^2 + D w^2 with D = qa qc - qb^2 > 0.
+    """
+    a0, b0 = (3 * x - x.trace() * basis.e for x in (basis.a, basis.b))
+    qa, qb, qc = (a0 @ a0).trace(), (a0 @ b0).trace(), (b0 @ b0).trace()
+    d = qa * qc - qb * qb
+    assert qa > 0 and d > 0, "indefinite trace form: c is not totally real"
+    target = qa * (6 * chi_r.a1 ** 2 - 18 * chi_r.a2)
     tr_a, tr_b = basis.a.trace(), basis.b.trace()
-    bound = _embedding_bound(c, basis, chi_r)
+    wmax = isqrt(target // d)
     out = []
-    for v in range(-bound, bound + 1):
-        for w in range(-bound, bound + 1):
-            num = tr_r - v * tr_a - w * tr_b
-            if num % 3:
+    for w in range(-wmax, wmax + 1):
+        rest = target - d * w * w
+        s = isqrt(rest)
+        if s * s != rest:
+            continue
+        for num in {-qb * w - s, -qb * w + s}:
+            v, rem = divmod(num, qa)
+            if rem:
                 continue
-            y = (num // 3) * basis.e + v * basis.a + w * basis.b
+            u, rem = divmod(chi_r.a1 - v * tr_a - w * tr_b, 3)
+            if rem:
+                continue
+            y = u * basis.e + v * basis.a + w * basis.b
             if char_cubic(y) == chi_r:
-                out.append(y)
-    return out
+                out.append((v, w, y))
+    return [y for _, _, y in sorted(out, key=lambda t: t[:2])]
 
 
 def _intertwiner_basis(y, r):
@@ -270,7 +266,7 @@ def conjugate_commuting(c, r):
     """
     basis = commutant_basis(c)
     chi_r = char_cubic(r)
-    fiber = _commutant_fiber(c, basis, chi_r)
+    fiber = _commutant_fiber(basis, chi_r)
     if not fiber:
         return ("no_fiber", None)
     for y in fiber:

@@ -8,6 +8,8 @@ interval evaluations that exclude zero.
 
 from fractions import Fraction
 
+from .errors import CoverageError
+
 
 def poly_strip(p):
     """Drop leading zero coefficients; the zero polynomial becomes ()."""
@@ -200,7 +202,8 @@ def sign_at_root(g, p, lo, hi, max_bisections=4000):
     """Exact sign of g at the unique root of p inside the bracket [lo, hi].
 
     The sign is only ever read from an interval evaluation that excludes
-    zero; straddling intervals trigger further bisection of the bracket.
+    zero; straddling intervals trigger further bisection of the bracket,
+    and running out of bisections raises CoverageError.
     """
     g = poly_mod(g, p)
     if not g:
@@ -230,4 +233,5 @@ def sign_at_root(g, p, lo, hi, max_bisections=4000):
             lo = mid
         else:
             hi = mid
-    raise AssertionError("sign not separated after %d bisections" % max_bisections)
+    raise CoverageError("sign not separated after %d bisections"
+                        % max_bisections)

@@ -20,6 +20,7 @@ import numpy as np
 from scipy.spatial import ConvexHull, QhullError
 
 from .commutant import commutant_basis, express_in_powers
+from .errors import CoverageError  # re-exported: cli and cf3 import it here
 from .forms import det_form
 from .intmat import IntMat, char_cubic, is_hyperbolic
 from .roots import (
@@ -41,11 +42,6 @@ FACE_BOX_CAP = 512
 UNIT_BOXES = (4, 8, 16, 32)
 RADIUS_LADDER = (16, 32, 64, 128, 256)
 CELL_BAND = 1e-6
-
-
-class CoverageError(RuntimeError):
-    """A cap was reached: the radius ladder, the unit boxes, the unit group
-    index search or the refinements of a root enclosure ran out."""
 
 
 def _char_adjugate(c):

@@ -1,11 +1,12 @@
 """End-to-end checks of the command line wiring, schemas, and exit codes."""
 
+import functools
 import json
 import subprocess
 import sys
 from fractions import Fraction
 
-from cf3 import sail
+from cf3 import roots, sail
 from cf3.cli import main
 
 GOLDEN = "0,1,0;0,0,1;1,2,-1"
@@ -164,6 +165,15 @@ def test_sail_enclosure_cap_exits_3(capsys, monkeypatch):
     code, _, err = run_cli(capsys, "sail", "--matrix", GOLDEN)
     assert code == 3
     assert "positive eigenvalue failed to separate from zero" in err
+
+
+def test_sail_bisection_cap_exits_3(capsys, monkeypatch):
+    # With no bisections allowed no sign at a root separates from zero.
+    monkeypatch.setattr(sail, "sign_at_root",
+                        functools.partial(roots.sign_at_root, max_bisections=0))
+    code, _, err = run_cli(capsys, "sail", "--matrix", GOLDEN)
+    assert code == 3
+    assert "sign not separated after 0 bisections" in err
 
 
 def test_hunt_stream(capsys):

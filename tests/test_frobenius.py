@@ -1,18 +1,24 @@
 """Frobenius type decisions, both dimensions, and fraction classification."""
 
+import functools
 import itertools
 import random
+from math import isqrt
 
 import numpy as np
 import pytest
+from hypothesis import given, reject, settings
+from hypothesis import strategies as st
 
-from cf3.census import matrices_in_class, matrix_from_flat
+from cf3.census import (HYPERBOLIC, M_ONLY, classify_matrix, matrices_in_class,
+                        matrix_from_flat)
 from cf3.commutant import commutant_basis
 from cf3.frobenius import (FrobeniusParams, REFERENCE_PARAMS, classify_fraction,
                            classification_report, commuting_frobenius_params,
                            conjugate_commuting, decide_thm2,
                            decide_thm3, frobenius_matrix, hunt, oracle_2x2,
-                           sl2_ball, theorem1_sweep, _commutant_fiber)
+                           sl2_ball, theorem1_sweep, _commutant_fiber,
+                           _ratio_square, _sample_norm_flat)
 from cf3.intmat import (CharCubic, CharQuad, IntMat, adjugate, char_cubic,
                         char_quad, is_irreducible)
 from cf3.solver import _rank
@@ -102,12 +108,61 @@ def test_decide_thm3_on_random_frobenius_matrices():
 
 def test_commutant_fiber_contains_the_matrix_itself():
     basis = commutant_basis(GOLDEN)
-    fiber = _commutant_fiber(GOLDEN, basis, char_cubic(GOLDEN))
+    fiber = _commutant_fiber(basis, char_cubic(GOLDEN))
     assert GOLDEN in fiber
     assert 1 <= len(fiber) <= 3
     for y in fiber:
         assert char_cubic(y) == char_cubic(GOLDEN)
         assert y @ GOLDEN == GOLDEN @ y
+
+
+def _fiber_box_scan(basis, chi_r):
+    """The commutant fiber by brute force: v outer, w inner over the box
+    that the definite trace form Q(v, w) = T confines (v, w) to."""
+    a0, b0 = (3 * x - x.trace() * basis.e for x in (basis.a, basis.b))
+    qa, qb, qc = (a0 @ a0).trace(), (a0 @ b0).trace(), (b0 @ b0).trace()
+    d = qa * qc - qb * qb
+    t = 6 * chi_r.a1 ** 2 - 18 * chi_r.a2
+    vmax, wmax = isqrt(qc * t // d) + 1, isqrt(qa * t // d) + 1
+    out = []
+    for v in range(-vmax, vmax + 1):
+        for w in range(-wmax, wmax + 1):
+            num = chi_r.a1 - v * basis.a.trace() - w * basis.b.trace()
+            if num % 3:
+                continue
+            y = (num // 3) * basis.e + v * basis.a + w * basis.b
+            if char_cubic(y) == chi_r:
+                out.append(y)
+    return out
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(st.integers(5, 12), st.integers(0, 2**32))
+def test_commutant_fiber_is_the_box_scan(norm, seed):
+    """On a random hyperbolic matrix of the given norm whose discriminant
+    matches at least one reference, the fiber for every such reference is
+    the brute-force box scan, in the same order."""
+    rng = random.Random(seed)
+    while True:
+        c = matrix_from_flat(_sample_norm_flat(rng, 9, norm))
+        if classify_matrix(c) != HYPERBOLIC:
+            continue
+        dc = char_cubic(c).discriminant()
+        chis = [char_cubic(p.matrix()) for _, p in REFERENCE_PARAMS]
+        chis = [chi for chi in chis if _ratio_square(dc, chi.discriminant())]
+        if chis:
+            break
+    basis = commutant_basis(c)
+    for chi in chis:
+        assert _commutant_fiber(basis, chi) == _fiber_box_scan(basis, chi)
+
+
+def test_commutant_fiber_needs_a_totally_real_matrix():
+    # x^3 - 2 has a complex pair of roots: the trace form is indefinite.
+    c = frobenius_matrix((0, 0, 2))
+    assert char_cubic(c).discriminant() < 0
+    with pytest.raises(AssertionError, match="indefinite trace form"):
+        _commutant_fiber(commutant_basis(c), char_cubic(GOLDEN))
 
 
 def test_conjugate_commuting_statuses():
@@ -138,6 +193,53 @@ def test_classify_is_conjugation_invariant():
     m031 = frobenius_matrix((0, 3, 1))
     conj = shear @ m031 @ adjugate(shear)
     assert classify_fraction(conj) == "M_0_3_1"
+
+
+ELEMENTARY = st.tuples(
+    st.sampled_from([(i, j) for i in range(3) for j in range(3) if i != j]),
+    st.sampled_from([1, -1]))
+
+
+@functools.cache
+def _matrices(norms, classes):
+    return [m for n in norms for m in matrices_in_class(3, n, classes)]
+
+
+def _conjugate_by_word(c, word):
+    p = IntMat.identity(3)
+    for (i, j), s in word:
+        rows = [[int(r == q) for q in range(3)] for r in range(3)]
+        rows[i][j] = s
+        p = p @ IntMat(rows)
+    return p @ c @ adjugate(p)
+
+
+@settings(derandomize=True, max_examples=15, deadline=None)
+@given(st.integers(0, 10**6), st.lists(ELEMENTARY, max_size=4))
+def test_decide_thm3_conjugation_never_contradicts(index, word):
+    """An irreducible matrix of norm <= 5 and its conjugate by an elementary
+    SL(3,Z) word never get opposite definitive verdicts."""
+    pool = _matrices(tuple(range(6)), (M_ONLY, HYPERBOLIC))
+    c = pool[index % len(pool)]
+    d = _conjugate_by_word(c, word)
+    verdicts = {decide_thm3(c).status, decide_thm3(d).status}
+    assert verdicts != {"frobenius", "non_frobenius"}
+
+
+@settings(derandomize=True, max_examples=15, deadline=None)
+@given(st.integers(0, 10**6), st.lists(ELEMENTARY, max_size=4))
+def test_classify_fraction_conjugation_invariant(index, word):
+    """A hyperbolic matrix of norm 5 or 6 (the classification claim's set,
+    where all three references occur) and its conjugate by an elementary
+    SL(3,Z) word get the same label.  An "unresolved" label on either side
+    rejects the example, since only definitive labels must agree."""
+    pool = _matrices((5, 6), (HYPERBOLIC,))
+    c = pool[index % len(pool)]
+    d = _conjugate_by_word(c, word)
+    labels = [classify_fraction(c), classify_fraction(d)]
+    if "unresolved" in labels:
+        reject()
+    assert labels[0] == labels[1]
 
 
 def test_classification_report_norm_five():

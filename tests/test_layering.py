@@ -7,14 +7,15 @@ import ast
 from pathlib import Path
 
 RANKS = {
-    "intmat": 0, "zlinalg": 1, "roots": 2, "parallel": 3, "census": 4,
-    "commutant": 5,
-    "forms": 6,
-    "solver": 7,
-    "frobenius": 8, "sail": 8,
-    "acceptance": 9,
-    "cli": 10,
-    "__init__": 11,
+    "errors": 0,
+    "intmat": 1, "zlinalg": 2, "roots": 3, "parallel": 4, "census": 5,
+    "commutant": 6,
+    "forms": 7,
+    "solver": 8,
+    "frobenius": 9, "sail": 9,
+    "acceptance": 10,
+    "cli": 11,
+    "__init__": 12,
 }
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "cf3"

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from cf3.errors import CoverageError
 from cf3.roots import (
     count_roots,
     interval_eval,
@@ -111,6 +112,15 @@ def test_sign_at_root_shared_factor():
     g = (1, -1)  # vanishes at the root 1, not at -1
     assert sign_at_root(g, p, *pairs[1]) == 0
     assert sign_at_root(g, p, *pairs[0]) == -1
+
+
+def test_sign_at_root_bisection_cap_raises_coverage_error():
+    # 2x - 3 straddles zero on the bracket [1, 2] of sqrt(2) until it is
+    # bisected, so with no bisections allowed its sign cannot be separated.
+    p = (1, 0, -2)
+    assert sign_at_root((2, -3), p, 1, 2) == -1
+    with pytest.raises(CoverageError, match="sign not separated"):
+        sign_at_root((2, -3), p, 1, 2, max_bisections=0)
 
 
 def test_sign_at_root_tight_values():
