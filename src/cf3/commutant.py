@@ -8,9 +8,10 @@ as a rational polynomial alpha*A^2 + beta*A + gamma*E in A.
 
 The normalized basis is canonical: it depends only on the lattice, not on
 how the kernel basis came out.  E is always primitive in the lattice (E/g
-integer forces g = 1), so it extends to a basis; the remaining two elements
-are the Hermite-reduced representatives of the quotient modulo Z*E, taken in
-the section of matrices whose (1,1) entry is zero.
+integer forces g = 1), so the lattice is Z*E plus its section of matrices
+whose (1,1) entry is zero; A and B are the Hermite basis of that section,
+the image of the lattice under X -> X - X11*E.  Lattice coordinates are
+integers throughout; only (alpha, beta, gamma) are rationals.
 """
 
 from __future__ import annotations
@@ -19,14 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .intmat import IntMat, is_irreducible
-from .zlinalg import (
-    coords_in_basis,
-    hnf_basis,
-    mat_mul,
-    right_kernel,
-    solve_unique,
-    unimodular_with_first_row,
-)
+from .zlinalg import coords_in_basis, hnf_basis, right_kernel, solve_unique
 
 
 class CommutantError(ValueError):
@@ -109,22 +103,16 @@ def express_in_powers(a, b):
 
 
 def normalize_basis(raw, c):
-    """Unimodular re-basing of ``raw`` into the canonical (E, A, B) shape."""
-    k = c.dim
-    assert k == 3, "normalized (E, A, B) bases are a 3x3 notion"
-    vecs = [list(m.flat()) for m in raw]
-    e_flat = list(IntMat.identity(3).flat())
-    coords = coords_in_basis(vecs, e_flat)
-    if coords is None:
-        raise CommutantError("E is not in the span of the given basis")
-    assert all(f.denominator == 1 for f in coords), "E must lie in the lattice"
-    ints = [int(f) for f in coords]
-    v = unimodular_with_first_row(ints)
-    new = mat_mul(v, vecs)
-    assert new[0] == e_flat
-    # representatives mod Z*E with vanishing (1,1) entry, then Hermite form
-    reduced = [[row[t] - row[0] * e_flat[t] for t in range(9)] for row in new[1:]]
-    h = hnf_basis(reduced)
+    """The canonical (E, A, B) shape of the lattice spanned by ``raw``.
+
+    X -> X - X11*E maps the lattice onto its section {X11 = 0} with kernel
+    Z*E, so the images of ``raw`` span that section and their Hermite form
+    is the canonical pair (A, B).  ``raw`` must span a lattice containing E.
+    """
+    assert c.dim == 3, "normalized (E, A, B) bases are a 3x3 notion"
+    e_flat = IntMat.identity(3).flat()
+    h = hnf_basis([[x - m.rows[0][0] * e for x, e in zip(m.flat(), e_flat)]
+                   for m in raw])
     assert len(h) == 2
     a = _matrix_from_flat(h[0], 3)
     b = _matrix_from_flat(h[1], 3)
@@ -155,12 +143,12 @@ def power_basis_index(c, lattice=None):
     """Index of the sublattice spanned by (E, C, C^2) inside the commutant."""
     if lattice is None:
         lattice = commutant_lattice(c)
-    vecs = [list(m.flat()) for m in lattice]
+    vecs = [m.flat() for m in lattice]
     rows = []
     for m in (IntMat.identity(c.dim), c, c @ c):
-        coords = coords_in_basis(vecs, list(m.flat()))
-        assert coords is not None and all(f.denominator == 1 for f in coords)
-        rows.append([int(f) for f in coords])
+        coords = coords_in_basis(vecs, m.flat())
+        assert coords is not None
+        rows.append(coords)
     d = IntMat(rows).det()
     assert d != 0
     return abs(d)

@@ -15,7 +15,9 @@ values (over integer points) characterize Frobenius-type 3x3 matrices.
 det_form, the determinant of a general member of a rank-3 matrix lattice,
 is a ternary cubic of the same shape; matching and unit groups use it.  The
 product must have integer coefficients; a violation is an internal error,
-not bad input.
+not bad input, and Gauss's lemma makes its test one divisibility.  Every
+form is a coefficient tuple over one of the *_EXPONENTS tables (the ternary
+one in MONOMIALS order), and evaluate_form is the one scalar evaluator.
 
 The bracket table for p_tilde is generated from three seed monomial groups
 by the cyclic substitution x -> y -> z -> x (indices 1 -> 2 -> 3 -> 1),
@@ -37,6 +39,25 @@ class IntegralityError(ArithmeticError):
     """The five-variable product came out non-integer: a convention bug."""
 
 
+MONOMIALS = ("x3", "y3", "z3", "x2y", "xy2", "x2z", "xz2", "y2z", "yz2", "xyz")
+
+BINARY_QUAD_EXPONENTS = ((2, 0), (1, 1), (0, 2))
+BINARY_CUBIC_EXPONENTS = ((3, 0), (2, 1), (1, 2), (0, 3))
+TERNARY_CUBIC_EXPONENTS = ((3, 0, 0), (0, 3, 0), (0, 0, 3), (2, 1, 0), (1, 2, 0),
+                           (2, 0, 1), (1, 0, 2), (0, 2, 1), (0, 1, 2), (1, 1, 1))
+
+
+def evaluate_form(coeffs, exponents, point):
+    """The form with these coefficients over the exponent table, at one point."""
+    total = 0
+    for c, exps in zip(coeffs, exponents):
+        term = c
+        for v, e in zip(point, exps):
+            term *= v ** e
+        total += term
+    return total
+
+
 @dataclass(frozen=True)
 class BinaryQF:
     """p*x^2 + q*x*y + r*y^2 with integer coefficients."""
@@ -49,7 +70,7 @@ class BinaryQF:
         return (self.p, self.q, self.r)
 
     def evaluate(self, x, y):
-        return self.p * x * x + self.q * x * y + self.r * y * y
+        return evaluate_form(self.as_tuple(), BINARY_QUAD_EXPONENTS, (x, y))
 
     def discriminant(self):
         return self.q * self.q - 4 * self.p * self.r
@@ -108,8 +129,7 @@ class BinaryCubicForm:
         return (self.c30, self.c21, self.c12, self.c03)
 
     def evaluate(self, m, n):
-        return (self.c30 * m ** 3 + self.c21 * m ** 2 * n
-                + self.c12 * m * n ** 2 + self.c03 * n ** 3)
+        return evaluate_form(self.as_tuple(), BINARY_CUBIC_EXPONENTS, (m, n))
 
     def primitive(self):
         return _primitive_scaled(self.as_tuple())
@@ -142,16 +162,6 @@ def bracket(a, b, ij, kl):
             raise ValueError("bracket indices must be in 1..3")
     return (a.rows[i - 1][j - 1] * b.rows[k - 1][l - 1]
             - a.rows[k - 1][l - 1] * b.rows[i - 1][j - 1])
-
-
-MONOMIALS = ("x3", "y3", "z3", "x2y", "xy2", "x2z", "xz2", "y2z", "yz2", "xyz")
-
-MONOMIAL_EXPONENTS = {
-    "x3": (3, 0, 0), "y3": (0, 3, 0), "z3": (0, 0, 3),
-    "x2y": (2, 1, 0), "xy2": (1, 2, 0), "x2z": (2, 0, 1),
-    "xz2": (1, 0, 2), "y2z": (0, 2, 1), "yz2": (0, 1, 2),
-    "xyz": (1, 1, 1),
-}
 
 
 def _cycle_pair(pair):
@@ -202,11 +212,7 @@ class TernaryCubicForm:
         return self.coeffs[MONOMIALS.index(name)]
 
     def evaluate(self, x, y, z):
-        total = 0
-        for c, name in zip(self.coeffs, MONOMIALS):
-            ex, ey, ez = MONOMIAL_EXPONENTS[name]
-            total += c * x ** ex * y ** ey * z ** ez
-        return total
+        return evaluate_form(self.coeffs, TERNARY_CUBIC_EXPONENTS, (x, y, z))
 
     def is_zero(self):
         return all(c == 0 for c in self.coeffs)
@@ -228,14 +234,11 @@ def p_tilde(a, b):
     return TernaryCubicForm(tuple(coeffs))
 
 
-_EXP_TO_NAME = {exp: name for name, exp in MONOMIAL_EXPONENTS.items()}
-
-
 def det_form(gs):
     """det(x*G1 + y*G2 + z*G3) as a ternary cubic, expanded exactly by
     multilinearity in the columns (27 integer determinants)."""
     cols = [[[g.rows[i][j] for i in range(3)] for j in range(3)] for g in gs]
-    coeffs = dict.fromkeys(MONOMIALS, 0)
+    coeffs = [0] * len(TERNARY_CUBIC_EXPONENTS)
     for i1 in range(3):
         for i2 in range(3):
             for i3 in range(3):
@@ -245,8 +248,8 @@ def det_form(gs):
                 if d == 0:
                     continue
                 counts = tuple((i1, i2, i3).count(k) for k in range(3))
-                coeffs[_EXP_TO_NAME[counts]] += d
-    return TernaryCubicForm(tuple(coeffs[name] for name in MONOMIALS))
+                coeffs[TERNARY_CUBIC_EXPONENTS.index(counts)] += d
+    return TernaryCubicForm(tuple(coeffs))
 
 
 @dataclass(frozen=True)
@@ -256,7 +259,7 @@ class ProductForm:
     Each factor is also carried in primitive integer form together with the
     exact rational that scaled it there; the two scalings multiply to the
     reciprocal of the product's content.  Unit values are always a question
-    about the unscaled product, whose integrality is asserted at build time.
+    about the unscaled product, whose integrality is checked at build time.
     """
 
     cubic_mn: BinaryCubicForm
@@ -275,9 +278,12 @@ class ProductForm:
         """Content of the integer product form; 1 means the factor
         split is loss-free for unit questions.  The scales may carry a
         sign (primitive forms have positive leading coefficient), which
-        is irrelevant to unit values."""
+        is irrelevant to unit values.  The primitive factors multiply to a
+        primitive product (Gauss's lemma), so the product is integral
+        exactly when this reciprocal scale is an integer."""
         c = 1 / abs(self.scaling_product)
-        assert c.denominator == 1 and c >= 1
+        if c.denominator != 1:
+            raise IntegralityError("the product form has content %s, not an integer" % c)
         return int(c)
 
     def evaluate(self, x, y, z, m, n):
@@ -285,20 +291,15 @@ class ProductForm:
 
 
 def product_form(cubic_mn, cubic_xyz):
-    """Bundle the two factors, asserting the product is integral."""
+    """Bundle the two factors, checking that the product is integral."""
     if cubic_xyz.is_zero():
         raise IntegralityError("ternary factor is identically zero")
     mn_prim, mn_scale = cubic_mn.primitive()
     xyz_prim, xyz_scale = cubic_xyz.primitive()
-    for cm in cubic_mn.as_tuple():
-        for cx in cubic_xyz.coeffs:
-            if (Fraction(cm) * cx).denominator != 1:
-                raise IntegralityError(
-                    "product coefficient %s * %s is not an integer" % (cm, cx))
     pf = ProductForm(cubic_mn=cubic_mn, cubic_xyz=cubic_xyz,
                      mn_primitive=mn_prim, mn_scale=mn_scale,
                      xyz_primitive=xyz_prim, xyz_scale=xyz_scale)
-    pf.content  # noqa: B018  - fires the integrality assertion eagerly
+    pf.content  # noqa: B018  - raises IntegralityError eagerly
     return pf
 
 

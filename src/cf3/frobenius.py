@@ -35,7 +35,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import partial
 from math import gcd, isqrt
 
@@ -192,11 +191,10 @@ def decide_thm3(c, basis=None, caps=Caps()):
 # ---------------------------------------------------------------- matching
 
 def _ratio_square(d1, d2):
-    """Is d1/d2 the square of a rational?  (d2 != 0.)"""
+    """Is d1/d2 (d2 != 0) a rational square?  It is (d1*d2) / d2^2."""
     if d1 * d2 <= 0:
         return d1 == 0
-    f = Fraction(d1, d2)
-    return is_square(f.numerator) and is_square(f.denominator)
+    return is_square(d1 * d2)
 
 
 def _commutant_fiber(basis, chi_r):
@@ -411,6 +409,8 @@ def hunt(norm, count, seed, dim=3, workers=1):
     replacement, deterministically from the seed) and decide each one."""
     if norm < 1:
         raise ValueError("norm must be positive")
+    if count < 0:
+        raise ValueError("count must be nonnegative")
     rng = random.Random(seed)
     flats = []
     attempts = 0

@@ -443,10 +443,11 @@ def _mat_power(m, k):
 
 
 def _commutant_coords(basis, m):
-    rows = [list(x.flat()) for x in basis.members()]
-    coords = coords_in_basis(rows, list(m.flat()))
-    assert coords is not None and all(f.denominator == 1 for f in coords)
-    return tuple(int(f) for f in coords)
+    # (E, A, B) is row-echelon: E's pivot is column 0, A and B are Hermite
+    # rows of the section whose (1,1) entry vanishes
+    coords = coords_in_basis([x.flat() for x in basis.members()], m.flat())
+    assert coords is not None
+    return tuple(coords)
 
 
 @dataclass(eq=False)

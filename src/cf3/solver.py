@@ -29,12 +29,9 @@ from math import isqrt
 
 import numpy as np
 
-from .forms import MONOMIAL_EXPONENTS, MONOMIALS
+from .forms import (BINARY_CUBIC_EXPONENTS, BINARY_QUAD_EXPONENTS,  # re-exported
+                    TERNARY_CUBIC_EXPONENTS, evaluate_form)
 from .intmat import is_square
-
-BINARY_QUAD_EXPONENTS = ((2, 0), (1, 1), (0, 2))
-BINARY_CUBIC_EXPONENTS = ((3, 0), (2, 1), (1, 2), (0, 3))
-TERNARY_CUBIC_EXPONENTS = tuple(MONOMIAL_EXPONENTS[name] for name in MONOMIALS)
 
 UNIT_TARGETS = (1, -1)
 BOX_LADDER = (12, 25, 50)
@@ -89,16 +86,6 @@ def _rank(v):
     return 2 * abs(v) - (1 if v > 0 else 0)
 
 
-def _evaluate(coeffs, exponents, point):
-    total = 0
-    for c, exps in zip(coeffs, exponents):
-        term = c
-        for v, e in zip(point, exps):
-            term *= v ** e
-        total += term
-    return total
-
-
 def grid_coords(side, arity):
     """Coordinate columns of the grid side^arity, in lexicographic order."""
     return [g.ravel() for g in np.meshgrid(*([side] * arity), indexing="ij")]
@@ -143,7 +130,7 @@ def _search_box_python(coeffs, exponents, bound, targets):
         for point in iter_product(vals, repeat=arity):
             if max(abs(v) for v in point) != shell:
                 continue
-            if _evaluate(coeffs, exponents, point) in targets:
+            if evaluate_form(coeffs, exponents, point) in targets:
                 return point
     return None
 
@@ -169,7 +156,7 @@ def search_box(coeffs, exponents, bound, targets=UNIT_TARGETS):
         point = _search_box_python(coeffs, exponents, bound, targets)
         if point is None:
             return None
-    value = _evaluate(coeffs, exponents, point)
+    value = evaluate_form(coeffs, exponents, point)
     assert value in targets
     return point, value
 

@@ -2,10 +2,10 @@
 
 Row-style Hermite reduction with a tracked unimodular transform is the
 workhorse: it yields canonical lattice bases, integer kernels (automatically
-saturated, because the transform is unimodular), lattice membership tests,
-inverses of unimodular matrices, and the solutions of linear systems, read
-off an integer kernel.  A Fraction appears only as the returned solution of
-a system whose answer is rational.
+saturated, because the transform is unimodular), inverses of unimodular
+matrices, and the solutions of linear systems, read off an integer kernel.
+Lattice coordinates are integers, by forward substitution on an echelon
+basis; a Fraction appears only as the solution of a rational system.
 
 Matrices in this module are plain lists of lists; sizes run up to 9x9 (the
 commutator systems of 3x3 matrices), where dense exact elimination is
@@ -147,21 +147,21 @@ def inverse_unimodular(rows):
     return u
 
 
-def unimodular_with_first_row(v):
-    """Some unimodular integer matrix whose first row is the primitive ``v``."""
-    h, u, rank = hnf_with_transform([[x] for x in v])
-    assert rank == 1 and h[0][0] == 1, "vector must be primitive"
-    # u @ v_col = e1, so v is the first column of u^-1; transpose to a row
-    uinv = inverse_unimodular(u)
-    w = transpose_rows(uinv)
-    assert w[0] == list(v)
-    return w
-
-
 def coords_in_basis(basis_rows, v):
-    """Coordinates of ``v`` in ``basis_rows`` over Q, or None if outside the span."""
-    cols = transpose_rows(basis_rows)
-    try:
-        return solve_unique(cols, v)
-    except ValueError:
-        raise ValueError("basis rows are linearly dependent")
+    """Integer coordinates of ``v`` in a row-echelon basis, or None when ``v``
+    is outside the lattice.  Forward substitution: each coordinate is forced
+    at its row's pivot, and any remainder means ``v`` is not a lattice point.
+    """
+    rest = list(v)
+    coords = []
+    last = -1
+    for row in basis_rows:
+        p = next(i for i, x in enumerate(row) if x)
+        assert p > last, "basis rows must be in row-echelon form"
+        last = p
+        q, r = divmod(rest[p], row[p])
+        if r:
+            return None
+        rest = [a - q * b for a, b in zip(rest, row)]
+        coords.append(q)
+    return None if any(rest) else coords

@@ -199,6 +199,13 @@ def test_bad_inputs_exit_1(capsys):
     assert run_cli(capsys, "census")[0] == 1
 
 
+def test_hunt_rejects_negative_count(capsys):
+    code, out, err = run_cli(capsys, "hunt", "--max-norm", "7", "--count", "-2")
+    assert code == 1
+    assert out == ""
+    assert "count must be nonnegative" in err
+
+
 def test_console_script_repro_zero_caps():
     """The documented cap-zero path: witness claims report UNDECIDED and the
     process exits 3, while every cap-independent claim still passes."""

@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cf3.commutant import (
     CommutantError,
@@ -13,7 +15,8 @@ from cf3.commutant import (
     power_basis_index,
 )
 from cf3.intmat import IntMat, is_irreducible, matrix_norm
-from cf3.zlinalg import hnf_basis
+from cf3.zlinalg import (hnf_basis, hnf_with_transform, inverse_unimodular, mat_mul,
+                         solve_unique, transpose_rows)
 
 GOLDEN = IntMat([[0, 1, 0], [0, 0, 1], [1, 2, -1]])
 A42 = IntMat([[1, 2, 0], [0, 1, 2], [-7, 0, 29]])
@@ -139,3 +142,42 @@ def test_basis_from_pair_checks_commutation():
         basis_from_pair(A42, GOLDEN, E3)
     nb = basis_from_pair(A42, A42, b_paper())
     assert (nb.alpha, nb.beta, nb.gamma) == (Fraction(1, 2), Fraction(-15), Fraction(29, 2))
+
+
+def unimodular_with_first_row(v):
+    """Reference: some unimodular integer matrix whose first row is the primitive v."""
+    h, u, rank = hnf_with_transform([[x] for x in v])
+    assert rank == 1 and h[0][0] == 1, "vector must be primitive"
+    w = transpose_rows(inverse_unimodular(u))
+    assert w[0] == list(v)
+    return w
+
+
+def completion_pair(raw):
+    """Reference (A, B): complete E's rational coordinates in ``raw`` to a
+    unimodular matrix, re-base, and Hermite-reduce the rest modulo Z*E."""
+    vecs = [list(m.flat()) for m in raw]
+    e_flat = list(E3.flat())
+    coords = solve_unique(transpose_rows(vecs), e_flat)
+    assert all(f.denominator == 1 for f in coords)
+    new = mat_mul(unimodular_with_first_row([int(f) for f in coords]), vecs)
+    assert new[0] == e_flat
+    h = hnf_basis([[row[t] - row[0] * e_flat[t] for t in range(9)] for row in new[1:]])
+    return tuple(IntMat([v[0:3], v[3:6], v[6:9]]) for v in h)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(st.integers(0, 2**32),
+       st.lists(st.tuples(st.integers(0, 2), st.integers(1, 2), st.integers(-3, 3)),
+                max_size=8),
+       st.permutations(range(3)), st.lists(st.sampled_from((1, -1)), min_size=3, max_size=3))
+def test_normalize_basis_matches_unimodular_completion(seed, moves, order, signs):
+    """Any unimodular remix of the lattice basis normalizes to the pair the
+    unimodular-completion route reaches."""
+    c = random_irreducible(random.Random(seed))
+    rows = [s * m for s, m in zip(signs, (commutant_lattice(c)[i] for i in order))]
+    for i, shift, k in moves:
+        j = (i + shift) % 3
+        rows[i] = rows[i] + k * rows[j]
+    nb, canonical = normalize_basis(rows, c), commutant_basis(c)
+    assert (nb.a, nb.b) == completion_pair(rows) == (canonical.a, canonical.b)

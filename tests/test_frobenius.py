@@ -3,6 +3,7 @@
 import functools
 import itertools
 import random
+from fractions import Fraction
 from math import isqrt
 
 import numpy as np
@@ -20,7 +21,7 @@ from cf3.frobenius import (FrobeniusParams, REFERENCE_PARAMS, classify_fraction,
                            sl2_ball, theorem1_sweep, _commutant_fiber,
                            _ratio_square, _sample_norm_flat)
 from cf3.intmat import (CharCubic, CharQuad, IntMat, adjugate, char_cubic,
-                        char_quad, is_irreducible)
+                        char_quad, is_irreducible, is_square)
 from cf3.solver import _rank
 
 A42 = IntMat([[1, 2, 0], [0, 1, 2], [-7, 0, 29]])
@@ -155,6 +156,24 @@ def test_commutant_fiber_is_the_box_scan(norm, seed):
     basis = commutant_basis(c)
     for chi in chis:
         assert _commutant_fiber(basis, chi) == _fiber_box_scan(basis, chi)
+
+
+def fraction_ratio_square(d1, d2):
+    """Reference: d1/d2 in lowest terms has square numerator and denominator."""
+    if d1 * d2 <= 0:
+        return d1 == 0
+    f = Fraction(d1, d2)
+    return is_square(f.numerator) and is_square(f.denominator)
+
+
+@settings(derandomize=True, deadline=None)
+@given(st.integers(-10**6, 10**6), st.integers(-10**6, 10**6).filter(bool),
+       st.integers(-40, 40), st.integers(-40, 40).filter(bool),
+       st.integers(-50, 50).filter(bool))
+def test_ratio_square_matches_fraction_test(d1, d2, p, q, g):
+    for a, b in ((d1, d2), (0, d2), (g * p * p, g * q * q), (g * p * p, -g * q * q),
+                 (-g * p * p, -g * q * q), (g * p * p * d2, d2)):
+        assert _ratio_square(a, b) == fraction_ratio_square(a, b)
 
 
 def test_commutant_fiber_needs_a_totally_real_matrix():

@@ -1,6 +1,8 @@
 """Module layering: every import inside cf3 points strictly down the stack.
 
-frobenius and sail share a rank, so neither may import the other.
+frobenius and sail share a rank, so neither may import the other.  The
+exact-arithmetic idiom is integers: only the modules whose answers are
+rationals may import fractions.
 """
 
 import ast
@@ -45,3 +47,18 @@ def test_imports_point_strictly_down():
                 upward.append("%s imports %s" % (path.stem, target))
     assert upward == []
 
+
+
+FRACTION_MODULES = {"zlinalg", "roots", "commutant", "forms", "sail", "acceptance"}
+
+
+def test_only_rational_answer_modules_import_fractions():
+    importers = set()
+    for path in PACKAGE.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and node.module == "fractions":
+                importers.add(path.stem)
+            elif isinstance(node, ast.Import) and any(
+                    alias.name == "fractions" for alias in node.names):
+                importers.add(path.stem)
+    assert importers == FRACTION_MODULES

@@ -18,7 +18,6 @@ from cf3.zlinalg import (
     right_kernel,
     solve_unique,
     transpose_rows,
-    unimodular_with_first_row,
     xgcd,
 )
 
@@ -150,25 +149,36 @@ def test_inverse_unimodular():
             inverse_unimodular(singular_or_det2)
 
 
-def test_unimodular_with_first_row():
-    rng = random.Random(7)
-    cases = [[1, 0, 0], [0, 0, 1], [2, 3], [3, 5, 7], [1, 1, 1, 1]]
-    for _ in range(60):
-        n = rng.randint(2, 5)
-        v = [rng.randint(-8, 8) for _ in range(n)]
-        g = 0
-        for x in v:
-            g = gcd(g, x)
-        if g != 1:
-            continue
-        cases.append(v)
-    for v in cases:
-        w = unimodular_with_first_row(v)
-        assert w[0] == list(v)
-        assert mat_mul(w, inverse_unimodular(w)) == identity_rows(len(w))
-
-
 def test_coords_in_basis():
     basis = [[1, 0, 0, 0], [0, 2, 0, 0]]
     assert coords_in_basis(basis, [3, 4, 0, 0]) == [Fraction(3), Fraction(2)]
     assert coords_in_basis(basis, [0, 1, 1, 0]) is None
+
+
+def rational_coords(basis_rows, v):
+    """Reference: coordinates over Q by the rational solve, or None."""
+    return solve_unique(transpose_rows(basis_rows), v)
+
+
+@st.composite
+def echelon_bases(draw):
+    m = draw(st.integers(1, 4))
+    row = st.lists(st.integers(-9, 9), min_size=m, max_size=m)
+    basis = hnf_basis(draw(st.lists(row, min_size=1, max_size=5)))
+    assume(basis)
+    return basis
+
+
+@settings(derandomize=True, deadline=None)
+@given(echelon_bases(), st.data())
+def test_coords_in_basis_integer_and_rational_oracle(basis, data):
+    k, m = len(basis), len(basis[0])
+    x = data.draw(st.lists(st.integers(-20, 20), min_size=k, max_size=k))
+    coords = coords_in_basis(basis, mat_vec(transpose_rows(basis), x))
+    assert coords == x and all(type(c) is int for c in coords)
+    v = data.draw(st.lists(st.integers(-20, 20), min_size=m, max_size=m))
+    want = rational_coords(basis, v)
+    if want is None or any(f.denominator != 1 for f in want):
+        assert coords_in_basis(basis, v) is None
+    else:
+        assert coords_in_basis(basis, v) == want
