@@ -3,7 +3,9 @@
 Polynomials are tuples of coefficients in descending degree order, with int
 or Fraction entries.  Every decision here is exact: root counting uses Sturm
 chains, intervals have rational endpoints, and signs are only read from
-interval evaluations that exclude zero.
+interval evaluations that exclude zero.  ``sign_at_root`` takes its root
+from an irreducible p, so a polynomial vanishes there only when p divides
+it.
 """
 
 from fractions import Fraction
@@ -47,10 +49,6 @@ def poly_add(p, q):
         p, q = q, p
     off = len(p) - len(q)
     return poly_strip(p[:off] + tuple(p[off + i] + q[i] for i in range(len(q))))
-
-
-def poly_sub(p, q):
-    return poly_add(p, poly_scale(q, -1))
 
 
 def poly_mul(p, q):
@@ -201,19 +199,15 @@ def refine_interval(p, lo, hi, width):
 def sign_at_root(g, p, lo, hi, max_bisections=4000):
     """Exact sign of g at the unique root of p inside the bracket [lo, hi].
 
-    The sign is only ever read from an interval evaluation that excludes
-    zero; straddling intervals trigger further bisection of the bracket,
-    and running out of bisections raises CoverageError.
+    p must be irreducible over Q: then g vanishes at the root exactly when
+    p divides it, and otherwise the sign is only ever read from an interval
+    evaluation that excludes zero.  Straddling intervals trigger further
+    bisection of the bracket, and running out of bisections raises
+    CoverageError.
     """
     g = poly_mod(g, p)
     if not g:
         return 0
-    h = poly_gcd(g, p)
-    if poly_degree(h) >= 1:
-        vlo, vhi = poly_eval(h, lo), poly_eval(h, hi)
-        assert vlo != 0 and vhi != 0
-        if (vlo > 0) != (vhi > 0):
-            return 0
     slo = poly_eval(p, lo)
     assert slo != 0 and poly_eval(p, hi) != 0
     neg_lo = slo < 0

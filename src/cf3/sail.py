@@ -6,9 +6,12 @@ lattice points.  Totally positive units of the commutant act on each sail
 with a compact quotient; the orbit counts and face areas of that quotient
 are integer-affine invariants that separate inequivalent fractions.
 
-Every geometric predicate here is decided exactly: float evaluations carry
-rigorous error bounds from rational root enclosures, and anything inside the
-error band falls back to exact sign certification at the cubic's roots.
+Every geometric predicate here is decided exactly.  All exact tests at a
+root of chi read one shared set of isolating intervals (``_Roots``): signs
+come from ``sign_at_root``, positive bounds from refining until an interval
+evaluation excludes zero, and float evaluations carry rigorous error bounds
+from the same enclosures, with anything inside the error band decided
+exactly.
 """
 
 import math
@@ -22,7 +25,7 @@ from scipy.spatial import ConvexHull, QhullError
 from .commutant import commutant_basis, express_in_powers
 from .errors import CoverageError  # re-exported: cli and cf3 import it here
 from .forms import det_form
-from .intmat import IntMat, char_cubic, is_hyperbolic
+from .intmat import IntMat, adjugate, char_cubic, is_hyperbolic
 from .roots import (
     interval_eval,
     isolate_real_roots,
@@ -35,13 +38,60 @@ from .roots import (
     sign_at_root,
 )
 from .solver import TERNARY_CUBIC_EXPONENTS, grid_coords, grid_values
-from .zlinalg import coords_in_basis, hnf_with_transform, inverse_unimodular
+from .zlinalg import coords_in_basis, hnf_with_transform
 
 ROOT_WIDTH = Fraction(1, 2**60)
 FACE_BOX_CAP = 512
 UNIT_BOXES = (4, 8, 16, 32)
 RADIUS_LADDER = (16, 32, 64, 128, 256)
 CELL_BAND = 1e-6
+
+
+class _Roots:
+    """Isolating intervals of the three real roots of an irreducible monic
+    cubic chi, shared by every exact test at those roots.
+
+    ``cache`` holds values derived from the current intervals; every
+    refinement clears it.
+    """
+
+    def __init__(self, chi):
+        self.chi = chi
+        self.intervals = [refine_interval(chi, lo, hi, ROOT_WIDTH)
+                          for lo, hi in isolate_real_roots(chi)]
+        assert len(self.intervals) == 3
+        self.cache = {}
+
+    def width(self):
+        return max(hi - lo for lo, hi in self.intervals)
+
+    def refine(self, width):
+        self.intervals = [refine_interval(self.chi, lo, hi, width)
+                          for lo, hi in self.intervals]
+        self.cache.clear()
+
+    def cached(self, key, build):
+        if key not in self.cache:
+            self.cache[key] = build()
+        return self.cache[key]
+
+    def enclose(self, p, i):
+        """Exact Fraction bounds of p at root i."""
+        return interval_eval(p, *self.intervals[i])
+
+    def sign(self, p, i):
+        """Exact sign of p at root i."""
+        return sign_at_root(p, self.chi, *self.intervals[i])
+
+    def positive(self, p, i, what):
+        """Bounds (lo, hi) of p at root i with 0 < lo, refining all three
+        intervals to a quarter of the widest until the lower end is positive."""
+        for _ in range(60):
+            lo, hi = self.enclose(p, i)
+            if lo > 0:
+                return lo, hi
+            self.refine(self.width() / 4)
+        raise CoverageError("positive %s failed to separate from zero" % what)
 
 
 def _char_adjugate(c):
@@ -72,54 +122,42 @@ class EigenCone:
 
     ``duals`` holds, per root, the eigenplane functional as three integer
     polynomials in that root, oriented positive on the cone; ``rays`` holds
-    the extreme-ray directions, oriented into the cone closure.
+    the extreme-ray directions, oriented into the cone closure.  Their
+    enclosures live in the cache of ``roots``.
     """
 
     c: IntMat
-    chi: tuple
-    intervals: list
+    roots: _Roots
     duals: tuple
     rays: tuple
-    _cache: dict = field(default_factory=dict, repr=False)
     # Certified-face results are exact and radius-independent, so they
     # survive interval refinement (unlike the enclosure cache).
     face_cache: dict = field(default_factory=dict, repr=False)
 
-    def width(self):
-        return max(hi - lo for lo, hi in self.intervals)
-
-    def refine(self, width):
-        for i, (lo, hi) in enumerate(self.intervals):
-            if hi - lo > width:
-                self.intervals[i] = refine_interval(self.chi, lo, hi, width)
-        self._cache.clear()
-
     def dual_enclosures(self):
         """Per root, per coordinate: exact Fraction bounds of the functional."""
-        key = "enc"
-        if key not in self._cache:
-            self._cache[key] = tuple(
-                tuple(interval_eval(p, lo, hi) for p in self.duals[i])
-                for i, (lo, hi) in enumerate(self.intervals))
-        return self._cache[key]
+        return self.roots.cached("enc", lambda: tuple(
+            tuple(self.roots.enclose(p, i) for p in self.duals[i])
+            for i in range(3)))
+
+    def ray_bounds(self):
+        """Per root: an exact bound of the ray's largest |coordinate|."""
+        return self.roots.cached("rays", lambda: tuple(
+            max(max(abs(lo), abs(hi)) for lo, hi in
+                (self.roots.enclose(p, i) for p in self.rays[i]))
+            for i in range(3)))
 
     def _float_duals(self):
-        key = "float"
-        if key not in self._cache:
-            mids = np.zeros((3, 3))
-            rads = np.zeros((3, 3))
-            for i, row in enumerate(self.dual_enclosures()):
-                for j, (lo, hi) in enumerate(row):
-                    mid = float((lo + hi) / 2)
-                    mids[i, j] = mid
-                    rads[i, j] = float(hi - lo) * 0.51 + 2.3e-16 * abs(mid)
-            self._cache[key] = (mids, rads)
-        return self._cache[key]
+        def build():
+            enc = self.dual_enclosures()
+            mids = np.array([[float((lo + hi) / 2) for lo, hi in row] for row in enc])
+            widths = np.array([[float(hi - lo) for lo, hi in row] for row in enc])
+            return mids, widths * 0.51 + 2.3e-16 * np.abs(mids)
+        return self.roots.cached("float", build)
 
     def dual_sign(self, i, v):
         """Exact sign of eigenplane functional i at the integer vector v."""
-        g = _combo_poly(self.duals[i], v)
-        return sign_at_root(g, self.chi, *self.intervals[i])
+        return self.roots.sign(_combo_poly(self.duals[i], v), i)
 
     def contains(self, v):
         """Exact strict-interior test for an integer vector."""
@@ -162,9 +200,7 @@ def eigen_cone(c):
         raise ValueError("need a 3x3 integer matrix")
     if not is_hyperbolic(c):
         raise ValueError("matrix must be hyperbolic: irreducible chi with three real roots")
-    chi = (1,) + char_cubic(c).monic()
-    intervals = list(isolate_real_roots(chi))
-    assert len(intervals) == 3
+    roots = _Roots((1,) + char_cubic(c).monic())
     adj = _char_adjugate(c)
     row = next(r for r in adj if any(poly_strip(p) for p in r))
     cidx = next(j for j in range(3) if any(poly_strip(adj[i][j]) for i in range(3)))
@@ -175,20 +211,17 @@ def eigen_cone(c):
     duals = []
     rays = []
     for i in range(3):
-        s = sign_at_root(row[2], chi, *intervals[i])
+        s = roots.sign(row[2], i)
         assert s != 0
         dual = tuple(poly_scale(p, s) for p in row)
         pairing = ()
         for p, q in zip(dual, col):
             pairing = poly_add(pairing, poly_mul(p, q))
-        t = sign_at_root(pairing, chi, *intervals[i])
+        t = roots.sign(pairing, i)
         assert t != 0
         duals.append(dual)
         rays.append(tuple(poly_scale(p, t) for p in col))
-    cone = EigenCone(c=c, chi=chi, intervals=intervals,
-                     duals=tuple(duals), rays=tuple(rays))
-    cone.refine(ROOT_WIDTH)
-    return cone
+    return EigenCone(c=c, roots=roots, duals=tuple(duals), rays=tuple(rays))
 
 
 @dataclass(frozen=True)
@@ -268,16 +301,6 @@ def _gcd3(a, b, c):
     return math.gcd(math.gcd(abs(a), abs(b)), abs(c))
 
 
-def _positive_pairing_bound(cone, combo, i):
-    # Exact positive lower bound of the pairing at root i (sign certified).
-    for _ in range(60):
-        lo, hi = interval_eval(combo, *cone.intervals[i])
-        if lo > 0:
-            return lo, hi
-        cone.refine(cone.width() / 4)
-    raise CoverageError("positive pairing failed to separate from zero")
-
-
 def _cross(u, v):
     return (u[1] * v[2] - u[2] * v[1],
             u[2] * v[0] - u[0] * v[2],
@@ -335,9 +358,7 @@ def _convex_polygon(points, normal):
     if total < 0:
         cycle.reverse()
         total = -total
-    start = min(range(len(cycle)), key=lambda t: cycle[t])
-    cycle = cycle[start:] + cycle[:start]
-    return tuple(cycle), total
+    return _orbit_key(cycle), total
 
 
 def _certify_face(cone, normal, offset, box_cap=FACE_BOX_CAP):
@@ -347,18 +368,17 @@ def _certify_face(cone, normal, offset, box_cap=FACE_BOX_CAP):
     anywhere (not just within the discovery radius); None when the plane is
     a truncation artifact or its certification box exceeds ``box_cap``.
     """
+    roots = cone.roots
     combos = []
     for i in range(3):
-        combo = poly_mod(_combo_poly(cone.rays[i], normal), cone.chi)
-        if sign_at_root(combo, cone.chi, *cone.intervals[i]) <= 0:
+        combo = poly_mod(_combo_poly(cone.rays[i], normal), roots.chi)
+        if roots.sign(combo, i) <= 0:
             return None
         combos.append(combo)
     corner = Fraction(0)
     for i in range(3):
-        plo, _ = _positive_pairing_bound(cone, combos[i], i)
-        coords = [interval_eval(p, *cone.intervals[i]) for p in cone.rays[i]]
-        top = max(max(abs(lo), abs(hi)) for lo, hi in coords)
-        corner = max(corner, Fraction(offset) * top / plo)
+        plo, _ = roots.positive(combos[i], i, "pairing")
+        corner = max(corner, Fraction(offset) * cone.ray_bounds()[i] / plo)
     bound = int(corner) + 2
     if bound > box_cap:
         return None
@@ -438,16 +458,64 @@ def compute_sail(cone, radius):
 def _mat_power(m, k):
     if k >= 0:
         return m ** k
-    inv = IntMat(inverse_unimodular([list(r) for r in m.rows]))
-    return inv ** (-k)
+    # every unit here has det 1, so its adjugate is its inverse
+    assert m.det() == 1
+    return adjugate(m) ** (-k)
 
 
-def _commutant_coords(basis, m):
-    # (E, A, B) is row-echelon: E's pivot is column 0, A and B are Hermite
-    # rows of the section whose (1,1) entry vanishes
-    coords = coords_in_basis([x.flat() for x in basis.members()], m.flat())
-    assert coords is not None
-    return tuple(coords)
+class _Units:
+    """Units of the commutant of a hyperbolic c in (E, A, B) coordinates,
+    with their eigenvalues read at the roots of chi.
+
+    ``fa`` and ``fb`` express A and B as polynomials in c, so a member
+    pE + qA + rB has the eigenvalue polynomial p + q*fa + r*fb at each root.
+    """
+
+    def __init__(self, c):
+        self.basis = commutant_basis(c)
+        self.roots = _Roots((1,) + char_cubic(c).monic())
+        self.fa = express_in_powers(c, self.basis.a)
+        self.fb = express_in_powers(c, self.basis.b)
+        members = self.basis.members()
+        self._rows = [x.flat() for x in members]
+        self._traces = [x.trace() for x in members]
+        self._gram = [[(x @ y).trace() for y in members] for x in members]
+
+    def matrix(self, coords):
+        p, q, r = coords
+        return self.basis.e * p + self.basis.a * q + self.basis.b * r
+
+    def coords(self, m):
+        # (E, A, B) is row-echelon: E's pivot is column 0, A and B are Hermite
+        # rows of the section whose (1,1) entry vanishes
+        coords = coords_in_basis(self._rows, m.flat())
+        assert coords is not None
+        return tuple(coords)
+
+    def totally_positive(self, coords, det):
+        # u is a polynomial in c, so its eigenvalues are real; alternating
+        # coefficients make x^3 - a1 x^2 + a2 x - a3 negative for x <= 0.
+        # a1 = tr(u) and 2*a2 = tr(u)^2 - tr(u^2), from the traces and the
+        # Gram table tr(XY) of (E, A, B); a3 = det.
+        a1 = sum(t * x for t, x in zip(self._traces, coords))
+        square = sum(g * x * y for row, x in zip(self._gram, coords)
+                     for g, y in zip(row, coords))
+        return a1 > 0 and a1 * a1 > square and det > 0
+
+    def eig_poly(self, coords):
+        p, q, r = coords
+        fa, fb = self.fa, self.fb
+        return poly_strip((q * fa[0] + r * fb[0],
+                           q * fa[1] + r * fb[1],
+                           p + q * fa[2] + r * fb[2]))
+
+    def enclosures(self, m):
+        """Exact positive bounds of the unit m's eigenvalues at roots 0 and 1."""
+        lam = self.eig_poly(self.coords(m))
+        return [self.roots.positive(lam, i, "eigenvalue") for i in range(2)]
+
+    def log(self, m):
+        return tuple(math.log(float((lo + hi) / 2)) for lo, hi in self.enclosures(m))
 
 
 @dataclass(eq=False)
@@ -455,17 +523,13 @@ class DirichletGroup:
     """Two generators of the totally positive unit group of the commutant."""
 
     c: IntMat
-    basis: object
     g1: IntMat
     g2: IntMat
     log1: tuple
     log2: tuple
     certified: bool
     box: int
-    chi: tuple
-    intervals: list
-    fa: tuple
-    fb: tuple
+    units: _Units
     _tcache: dict = field(default_factory=dict, repr=False)
 
     def translate(self, t1, t2):
@@ -475,8 +539,7 @@ class DirichletGroup:
         return self._tcache[key]
 
     def log_vector(self, m):
-        coords = _commutant_coords(self.basis, m)
-        return _unit_log(self, coords)
+        return self.units.log(m)
 
     def member_exponents(self, u):
         """Exact exponents (a, b) with u == g1^a @ g2^b, or None."""
@@ -488,38 +551,9 @@ class DirichletGroup:
         return None
 
 
-def _eig_poly(coords, fa, fb):
-    p, q, r = coords
-    return poly_strip((q * fa[0] + r * fb[0],
-                       q * fa[1] + r * fb[1],
-                       p + q * fa[2] + r * fb[2]))
-
-
-def _positive_enclosure(state, lam, i):
-    for _ in range(60):
-        lo, hi = interval_eval(lam, *state.intervals[i])
-        if lo > 0:
-            return lo, hi
-        width = max(h - l for l, h in state.intervals) / 4
-        state.intervals[:] = [refine_interval(state.chi, l, h, width)
-                              for l, h in state.intervals]
-    raise CoverageError("positive eigenvalue failed to separate from zero")
-
-
-def _unit_log(state, coords):
-    lam = _eig_poly(coords, state.fa, state.fb)
+def _log_intervals(units, m):
     out = []
-    for i in range(2):
-        lo, hi = _positive_enclosure(state, lam, i)
-        out.append(math.log(float((lo + hi) / 2)))
-    return tuple(out)
-
-
-def _log_intervals(state, coords):
-    lam = _eig_poly(coords, state.fa, state.fb)
-    out = []
-    for i in range(2):
-        lo, hi = _positive_enclosure(state, lam, i)
+    for lo, hi in units.enclosures(m):
         llo = math.log(float(lo))
         lhi = math.log(float(hi))
         pad = 1e-9 + 1e-12 * max(abs(llo), abs(lhi))
@@ -535,33 +569,20 @@ def _solve_cell(l1, l2, w):
 
 
 def _unit_pool(form, box):
-    # Points of the box where the determinant form is +-1, lexicographically.
+    # Points of the box where the determinant form is +-1, lexicographically,
+    # each with its form value.
     assert sum(abs(c) for c in form.coeffs) * max(1, box) ** 3 < 2**62
     coords = grid_coords(np.arange(-box, box + 1, dtype=np.int64), 3)
     val = grid_values(form.coeffs, TERNARY_CUBIC_EXPONENTS, coords)
-    return [tuple(int(g[k]) for g in coords) for k in np.flatnonzero(np.abs(val) == 1)]
-
-
-class _GroupState:
-    # Mutable scratch shared by the unit-group construction helpers.
-    def __init__(self, basis, chi, intervals, fa, fb):
-        self.basis = basis
-        self.chi = chi
-        self.intervals = intervals
-        self.fa = fa
-        self.fb = fb
-
-
-def _unit_matrix(basis, coords):
-    p, q, r = coords
-    return basis.e * p + basis.a * q + basis.b * r
+    return [(tuple(int(g[k]) for g in coords), int(val[k]))
+            for k in np.flatnonzero(np.abs(val) == 1)]
 
 
 def _norm_inf(v):
     return max(abs(x) for x in v)
 
 
-def _reduce_pair(state, gens):
+def _reduce_pair(units, gens):
     # Lagrange reduction of the generator pair, matrices kept in sync.
     while True:
         (m1, l1), (m2, l2) = gens
@@ -572,11 +593,10 @@ def _reduce_pair(state, gens):
         if k == 0:
             return
         m2 = m2 @ _mat_power(m1, -k)
-        l2 = _unit_log(state, _commutant_coords(state.basis, m2))
-        gens[1] = (m2, l2)
+        gens[1] = (m2, units.log(m2))
 
 
-def _absorb(state, gens, u, lu):
+def _absorb(units, gens, u, lu):
     e = IntMat.identity(3)
     if u == e:
         return
@@ -589,7 +609,7 @@ def _absorb(state, gens, u, lu):
         det = l1[0] * lu[1] - l1[1] * lu[0]
         if abs(det) > 1e-9 * (_norm_inf(l1) * _norm_inf(lu) + 1):
             gens.append((u, lu))
-            _reduce_pair(state, gens)
+            _reduce_pair(units, gens)
             return
         # Collinear logs: run a one-dimensional euclidean reduction.
         big, small = (u, lu), (m1, l1)
@@ -602,8 +622,7 @@ def _absorb(state, gens, u, lu):
             if m == e:
                 gens[0] = small
                 return
-            lm = _unit_log(state, _commutant_coords(state.basis, m))
-            big, small = small, (m, lm)
+            big, small = small, (m, units.log(m))
             if _norm_inf(big[1]) < _norm_inf(small[1]):
                 big, small = small, big
     (m1, l1), (m2, l2) = gens
@@ -612,8 +631,7 @@ def _absorb(state, gens, u, lu):
     w = u @ _mat_power(m1, -a) @ _mat_power(m2, -b)
     if w == e:
         return
-    wc = _commutant_coords(state.basis, w)
-    lw = _unit_log(state, wc)
+    lw = units.log(w)
     for m in range(2, 65):
         ta, tb = _solve_cell(l1, l2, (m * lw[0], m * lw[1]))
         ta, tb = round(ta), round(tb)
@@ -625,10 +643,9 @@ def _absorb(state, gens, u, lu):
                 exps = trans[k]
                 mat = (_mat_power(m1, exps[0]) @ _mat_power(m2, exps[1])
                        @ _mat_power(w, exps[2]))
-                lk = _unit_log(state, _commutant_coords(state.basis, mat))
-                new.append((mat, lk))
+                new.append((mat, units.log(mat)))
             gens[:] = new
-            _reduce_pair(state, gens)
+            _reduce_pair(units, gens)
             return
     raise CoverageError("unit group index search exhausted")
 
@@ -643,33 +660,22 @@ def dirichlet_generators(c):
     """
     if not is_hyperbolic(c):
         raise ValueError("matrix must be hyperbolic")
-    basis = commutant_basis(c)
-    chi = (1,) + char_cubic(c).monic()
-    intervals = [tuple(p) for p in isolate_real_roots(chi)]
-    intervals = [refine_interval(chi, lo, hi, ROOT_WIDTH) for lo, hi in intervals]
-    fa = express_in_powers(c, basis.a)
-    fb = express_in_powers(c, basis.b)
-    state = _GroupState(basis, chi, list(intervals), fa, fb)
-    form = det_form(basis.members())
+    units = _Units(c)
+    form = det_form(units.basis.members())
     result = None
     for box in UNIT_BOXES:
         pool = []
-        for coords in _unit_pool(form, box):
-            if coords == (1, 0, 0):
-                continue
-            # u is a polynomial in c, so its eigenvalues are real; alternating
-            # coefficients make x^3 - a1 x^2 + a2 x - a3 negative for x <= 0.
-            a1, a2, a3 = char_cubic(_unit_matrix(basis, coords)).as_tuple()
-            if a1 > 0 and a2 > 0 and a3 > 0:
-                assert a3 == 1
-                pool.append((coords, _unit_log(state, coords)))
-        pool.sort(key=lambda item: (_norm_inf(item[1]), item[0]))
+        for coords, det in _unit_pool(form, box):
+            if coords != (1, 0, 0) and units.totally_positive(coords, det):
+                u = units.matrix(coords)
+                pool.append((units.log(u), coords, u))
+        pool.sort(key=lambda item: (_norm_inf(item[0]), item[1]))
         gens = []
-        for coords, lu in pool:
-            _absorb(state, gens, _unit_matrix(basis, coords), lu)
+        for lu, _, u in pool:
+            _absorb(units, gens, u, lu)
         if len(gens) < 2:
             continue
-        _reduce_pair(state, gens)
+        _reduce_pair(units, gens)
         (m1, l1), (m2, l2) = gens
         # Deterministic orientation of each generator.
         if l1[0] < 0:
@@ -678,34 +684,29 @@ def dirichlet_generators(c):
         if l2[1] < 0:
             m2 = _mat_power(m2, -1)
             l2 = (-l2[0], -l2[1])
-        s = np.array([[1.0, _f(fa, i, state), _f(fb, i, state)] for i in range(3)])
+        s = np.array([[1.0] + [float(sum(units.roots.enclose(f, i)) / 2)
+                               for f in (units.fa, units.fb)] for i in range(3)])
         ninf = float(np.abs(np.linalg.inv(s)).sum(axis=1).max())
         t_cap = math.log(0.98 * box / ninf) if 0.98 * box > ninf else -1.0
         certified = t_cap > 0 and (_norm_inf(l1) + _norm_inf(l2)) <= 2 * t_cap
-        result = DirichletGroup(
-            c=c, basis=basis, g1=m1, g2=m2, log1=l1, log2=l2,
-            certified=certified, box=box, chi=chi,
-            intervals=state.intervals, fa=fa, fb=fb)
+        result = DirichletGroup(c=c, g1=m1, g2=m2, log1=l1, log2=l2,
+                                certified=certified, box=box, units=units)
         if certified:
             break
     if result is None:
         raise CoverageError(
             "fewer than two independent positive units found with "
             "coordinates up to %d" % UNIT_BOXES[-1])
-    _assert_independent(state, result)
+    _assert_independent(result)
     return result
 
 
-def _f(poly3, i, state):
-    lo, hi = interval_eval(poly3, *state.intervals[i])
-    return float((lo + hi) / 2)
-
-
-def _assert_independent(state, group):
+def _assert_independent(group):
     # Certified interval check that the generator logs span a rank-2 lattice.
+    roots = group.units.roots
     for _ in range(6):
-        i1 = _log_intervals(state, _commutant_coords(state.basis, group.g1))
-        i2 = _log_intervals(state, _commutant_coords(state.basis, group.g2))
+        i1 = _log_intervals(group.units, group.g1)
+        i2 = _log_intervals(group.units, group.g2)
 
         def mul(x, y):
             vals = (x[0] * y[0], x[0] * y[1], x[1] * y[0], x[1] * y[1])
@@ -716,9 +717,7 @@ def _assert_independent(state, group):
         dlo, dhi = p1[0] - p2[1], p1[1] - p2[0]
         if dlo > 0 or dhi < 0:
             return
-        width = max(h - l for l, h in state.intervals) / 16
-        state.intervals[:] = [refine_interval(state.chi, l, h, width)
-                              for l, h in state.intervals]
+        roots.refine(roots.width() / 16)
     raise AssertionError("generator logs not separated from dependence")
 
 
@@ -755,7 +754,15 @@ def _cell_candidates(x):
     return (f,)
 
 
-def _canonical(cone, group, points, build):
+def _orbit_key(points):
+    # A cycle of lattice points rotated to start at its least point: the
+    # sorted pair for an edge, the point itself for a vertex.
+    cycle = [tuple(p) for p in points]
+    start = min(range(len(cycle)), key=lambda t: cycle[t])
+    return tuple(cycle[start:] + cycle[:start])
+
+
+def _canonical(cone, group, points):
     """Minimal group translate of a sail element, as an exact key.
 
     The anchor's eigen-coordinate logs are reduced into the fundamental cell
@@ -764,30 +771,8 @@ def _canonical(cone, group, points, build):
     """
     w = _log_anchor(cone, points)
     a, b = _solve_cell(group.log1, group.log2, w)
-    best = None
-    for fa in _cell_candidates(a):
-        for fb in _cell_candidates(b):
-            t = group.translate(-fa, -fb)
-            moved = [t.apply(p) for p in points]
-            key = build(moved)
-            if best is None or key < best:
-                best = key
-    return best
-
-
-def _vertex_key(moved):
-    return tuple(moved[0])
-
-
-def _edge_key(moved):
-    pair = sorted(tuple(p) for p in moved)
-    return tuple(pair)
-
-
-def _face_key(moved):
-    cycle = [tuple(p) for p in moved]
-    start = min(range(len(cycle)), key=lambda t: cycle[t])
-    return tuple(cycle[start:] + cycle[:start])
+    return min(_orbit_key([group.translate(-fa, -fb).apply(p) for p in points])
+               for fa in _cell_candidates(a) for fb in _cell_candidates(b))
 
 
 def torus_invariants(sail, group):
@@ -803,11 +788,11 @@ def torus_invariants(sail, group):
     cone = sail.cone
     faces = {}
     for f in sail.faces:
-        ck = _canonical(cone, group, list(f.vertices), _face_key)
+        ck = _canonical(cone, group, list(f.vertices))
         faces.setdefault(ck, f)
-    edge_keys = {e: _canonical(cone, group, [e[0], e[1]], _edge_key)
+    edge_keys = {e: _canonical(cone, group, [e[0], e[1]])
                  for e in sail.edges}
-    vertex_keys = {v: _canonical(cone, group, [v], _vertex_key)
+    vertex_keys = {v: _canonical(cone, group, [v])
                    for v in sail.vertices}
     incidence = Counter()
     adjacency = {ck: set() for ck in faces}
@@ -815,7 +800,7 @@ def torus_invariants(sail, group):
     for ck in faces:
         ring = ck
         for u, v in zip(ring, ring[1:] + ring[:1]):
-            ek = _canonical(cone, group, [u, v], _edge_key)
+            ek = _canonical(cone, group, [u, v])
             incidence[ek] += 1
             edge_to_faces.setdefault(ek, set()).add(ck)
     bad = {ek: n for ek, n in incidence.items() if n != 2}
@@ -831,7 +816,7 @@ def torus_invariants(sail, group):
     corner_keys = set()
     for ck in faces:
         for v in ck:
-            corner_keys.add(_canonical(cone, group, [v], _vertex_key))
+            corner_keys.add(_canonical(cone, group, [v]))
     if corner_keys != set(vertex_keys.values()):
         raise CoverageError(
             "fundamental domain not covered at radius %d: face corners and "

@@ -36,16 +36,6 @@ def identity_rows(n):
     return [[int(i == j) for j in range(n)] for i in range(n)]
 
 
-def mat_mul(a, b):
-    n, k = len(a), len(b)
-    m = len(b[0]) if k else 0
-    return [[sum(a[i][l] * b[l][j] for l in range(k)) for j in range(m)] for i in range(n)]
-
-
-def mat_vec(a, v):
-    return [sum(a[i][j] * v[j] for j in range(len(v))) for i in range(len(a))]
-
-
 def transpose_rows(rows):
     return [list(col) for col in zip(*rows)]
 

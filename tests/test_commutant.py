@@ -15,8 +15,8 @@ from cf3.commutant import (
     power_basis_index,
 )
 from cf3.intmat import IntMat, is_irreducible, matrix_norm
-from cf3.zlinalg import (hnf_basis, hnf_with_transform, inverse_unimodular, mat_mul,
-                         solve_unique, transpose_rows)
+from cf3.zlinalg import (hnf_basis, hnf_with_transform, inverse_unimodular, solve_unique,
+                         transpose_rows)
 
 GOLDEN = IntMat([[0, 1, 0], [0, 0, 1], [1, 2, -1]])
 A42 = IntMat([[1, 2, 0], [0, 1, 2], [-7, 0, 29]])
@@ -151,6 +151,10 @@ def unimodular_with_first_row(v):
     w = transpose_rows(inverse_unimodular(u))
     assert w[0] == list(v)
     return w
+
+
+def mat_mul(a, b):
+    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
 
 
 def completion_pair(raw):

@@ -106,14 +106,6 @@ def test_sign_at_root_basic():
     assert sign_at_root(poly_mul(p, (3, 1)), p, *pairs[0]) == 0
 
 
-def test_sign_at_root_shared_factor():
-    p = poly_mul((1, -1), (1, 1))
-    pairs = isolate_real_roots(p)
-    g = (1, -1)  # vanishes at the root 1, not at -1
-    assert sign_at_root(g, p, *pairs[1]) == 0
-    assert sign_at_root(g, p, *pairs[0]) == -1
-
-
 def test_sign_at_root_bisection_cap_raises_coverage_error():
     # 2x - 3 straddles zero on the bracket [1, 2] of sqrt(2) until it is
     # bisected, so with no bisections allowed its sign cannot be separated.

@@ -1,21 +1,21 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, reject, settings
+from hypothesis import assume, given, reject, settings
 from hypothesis import strategies as st
 
-from cf3.commutant import commutant_basis, express_in_powers
 from cf3.forms import det_form
-from cf3.intmat import IntMat, adjugate, char_cubic
+from cf3.intmat import CharCubic, IntMat, adjugate, char_cubic
 from cf3.roots import (
     isolate_real_roots,
     poly_add,
     poly_eval,
     poly_mod,
     poly_mul,
+    poly_scale,
     poly_strip,
-    poly_sub,
     refine_interval,
     sign_at_root,
 )
@@ -27,15 +27,11 @@ from cf3.sail import (
     _cell_candidates,
     _char_adjugate,
     _combo_poly,
-    _commutant_coords,
-    _eig_poly,
-    _GroupState,
     _mat_power,
-    _positive_enclosure,
-    _positive_pairing_bound,
+    _Roots,
     _strip_points,
-    _unit_matrix,
     _unit_pool,
+    _Units,
     compute_sail,
     dirichlet_generators,
     eigen_cone,
@@ -59,6 +55,10 @@ def conjugate(p, c):
     return p @ c @ IntMat(inverse_unimodular([list(r) for r in p.rows]))
 
 
+def poly_sub(p, q):
+    return poly_add(p, poly_scale(q, -1))
+
+
 def char_entry_product(c, i, k, poly):
     # poly * (C - xE)[i][k], for symbolic eigen identities.
     return poly_mul(poly_strip((-int(i == k), c.rows[i][k])), poly)
@@ -77,8 +77,9 @@ def test_char_adjugate_matches_integer_adjugate():
 
 def test_eigen_cone_golden_structure():
     cone = eigen_cone(GOLDEN)
-    assert len(cone.intervals) == 3
-    for (lo, hi), (lo2, _) in zip(cone.intervals, cone.intervals[1:]):
+    chi, intervals = cone.roots.chi, cone.roots.intervals
+    assert len(intervals) == 3
+    for (lo, hi), (lo2, _) in zip(intervals, intervals[1:]):
         assert lo < hi < lo2
     # The seed direction is strictly inside the chosen cone.
     assert cone.contains((0, 0, 1))
@@ -93,13 +94,13 @@ def test_eigen_cone_golden_structure():
                     cone.c, j, k, cone.duals[i][j]))
                 right = poly_add(right, char_entry_product(
                     cone.c, k, j, cone.rays[i][j]))
-            assert poly_mod(left, cone.chi) == ()
-            assert poly_mod(right, cone.chi) == ()
+            assert poly_mod(left, chi) == ()
+            assert poly_mod(right, chi) == ()
         # The dual pairs positively with its own ray.
         acc = ()
         for p, q in zip(cone.duals[i], cone.rays[i]):
             acc = poly_add(acc, poly_mul(p, q))
-        assert sign_at_root(acc, cone.chi, *cone.intervals[i]) > 0
+        assert sign_at_root(acc, chi, *intervals[i]) > 0
 
 
 def test_eigen_cone_rejects_bad_input():
@@ -114,7 +115,7 @@ def test_eigen_cone_conjugation_equivariance():
     cone1 = eigen_cone(GOLDEN)
     cone2 = eigen_cone(conjugate(P_UNIMODULAR, GOLDEN))
     p = P_UNIMODULAR
-    assert cone1.chi == cone2.chi
+    assert cone1.roots.chi == cone2.roots.chi
     for i in range(3):
         mapped = tuple(
             _combo_poly(cone1.rays[i], p.rows[k]) for k in range(3))
@@ -124,7 +125,7 @@ def test_eigen_cone_conjugation_equivariance():
         for a, b in ((0, 1), (1, 2), (0, 2)):
             cross = poly_sub(poly_mul(mapped[a], other[b]),
                              poly_mul(mapped[b], other[a]))
-            assert poly_mod(cross, cone1.chi) == ()
+            assert poly_mod(cross, cone1.roots.chi) == ()
 
 
 def test_interior_mask_matches_exact_test():
@@ -181,11 +182,11 @@ def test_dirichlet_golden_group():
     assert group.g1 != E3 and group.g2 != E3
     assert group.certified
     # Exact total positivity of both generators at every root.
+    units = group.units
     for g in (group.g1, group.g2):
-        coords = _commutant_coords(group.basis, g)
-        lam = _eig_poly(coords, group.fa, group.fb)
+        lam = units.eig_poly(units.coords(g))
         for i in range(3):
-            assert sign_at_root(lam, group.chi, *group.intervals[i]) > 0
+            assert sign_at_root(lam, units.roots.chi, *units.roots.intervals[i]) > 0
     # C^2 is a totally positive unit, so it must be a group member.
     exps = group.member_exponents(GOLDEN @ GOLDEN)
     assert exps is not None
@@ -274,19 +275,20 @@ def test_strip_points_is_the_box_slab(normal, offset, bound):
     conjugate(IntMat([[1, 0, 2], [0, 1, 0], [0, -1, 1]]), M031),
 ])
 def test_descartes_total_positivity_matches_root_signs(c):
-    # The coefficient-sign test of dirichlet_generators agrees with exact
-    # signs of the unit's eigenvalue polynomial at every root of chi.
-    basis = commutant_basis(c)
+    # The coefficient-sign test of dirichlet_generators, read off traces and
+    # the Gram table, agrees with the characteristic polynomial of the unit
+    # matrix and with exact signs of its eigenvalue polynomial at every root.
+    units = _Units(c)
     chi = (1,) + char_cubic(c).monic()
     intervals = [refine_interval(chi, lo, hi, ROOT_WIDTH)
                  for lo, hi in isolate_real_roots(chi)]
-    fa = express_in_powers(c, basis.a)
-    fb = express_in_powers(c, basis.b)
     positive = 0
-    for coords in _unit_pool(det_form(basis.members()), 8):
-        cubic = char_cubic(_unit_matrix(basis, coords)).as_tuple()
+    for coords, det in _unit_pool(det_form(units.basis.members()), 8):
+        cubic = char_cubic(units.matrix(coords)).as_tuple()
+        assert cubic[2] == det
         descartes = all(x > 0 for x in cubic)
-        lam = _eig_poly(coords, fa, fb)
+        assert units.totally_positive(coords, det) == descartes
+        lam = units.eig_poly(coords)
         assert descartes == all(sign_at_root(lam, chi, *iv) > 0 for iv in intervals)
         positive += descartes
     assert positive > 1
@@ -294,28 +296,89 @@ def test_descartes_total_positivity_matches_root_signs(c):
 
 def test_positive_enclosure_cap_raises_coverage_error():
     # chi vanishes at its own root, so its enclosure never excludes zero.
-    group = dirichlet_generators(GOLDEN)
-    state = _GroupState(group.basis, group.chi, list(group.intervals),
-                        group.fa, group.fb)
+    roots = dirichlet_generators(GOLDEN).units.roots
     with pytest.raises(CoverageError, match="positive eigenvalue"):
-        _positive_enclosure(state, group.chi, 0)
+        roots.positive(roots.chi, 0, "eigenvalue")
 
 
 def test_positive_pairing_cap_raises_coverage_error():
-    cone = eigen_cone(GOLDEN)
+    roots = eigen_cone(GOLDEN).roots
     with pytest.raises(CoverageError, match="positive pairing"):
-        _positive_pairing_bound(cone, cone.chi, 1)
+        roots.positive(roots.chi, 1, "pairing")
 
 
 def test_unit_index_search_cap_raises_coverage_error():
     # <g1^67, g2> has index 67 in the group, beyond the search up to 64.
     group = dirichlet_generators(GOLDEN)
-    state = _GroupState(group.basis, group.chi, list(group.intervals),
-                        group.fa, group.fb)
     gens = [(_mat_power(group.g1, 67), tuple(67 * x for x in group.log1)),
             (group.g2, group.log2)]
     with pytest.raises(CoverageError, match="index search exhausted"):
-        _absorb(state, gens, group.g1, group.log1)
+        _absorb(group.units, gens, group.g1, group.log1)
+
+
+def _nests(inner, outer):
+    return all(lo <= a <= b <= hi for (a, b), (lo, hi) in zip(inner, outer))
+
+
+HYPERBOLIC_CUBICS = st.builds(CharCubic, *[st.integers(-9, 9)] * 3).filter(
+    lambda cc: cc.is_irreducible() and cc.is_real_rooted())
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(HYPERBOLIC_CUBICS, st.integers(0, 2), st.booleans(),
+       st.tuples(*[st.integers(-20, 20)] * 3), st.integers(1, 7))
+def test_positive_bounds_the_value_at_the_root(cc, i, near, coeffs, eighth):
+    """``positive`` returns exact bounds 0 < lo <= p <= hi at the root, and
+    every refinement it makes nests in the intervals before it.  With
+    ``near``, p is a linear factor through a point of the isolating
+    interval, so its first enclosure straddles zero and must be refined."""
+    roots = _Roots((1,) + cc.monic())
+    if near:
+        lo, hi = roots.intervals[i]
+        t = lo + (hi - lo) * Fraction(eighth, 8)
+        p = (t.denominator, -t.numerator)
+    else:
+        p = poly_strip(coeffs)
+    sign = roots.sign(p, i)
+    assume(sign != 0)
+    p = poly_scale(p, sign)
+    history = [list(roots.intervals)]
+    refine = roots.refine
+
+    def recording(width):
+        refine(width)
+        history.append(list(roots.intervals))
+
+    roots.refine = recording
+    lo, hi = roots.positive(p, i, "value")
+    assert 0 < lo <= hi
+    iv = roots.intervals[i]
+    assert sign_at_root(poly_add(p, (-lo,)), roots.chi, *iv) >= 0
+    assert sign_at_root(poly_add(poly_scale(p, -1), (hi,)), roots.chi, *iv) >= 0
+    assert all(_nests(b, a) for a, b in zip(history, history[1:]))
+    if near:
+        assert len(history) > 1
+
+
+# (g1, g2, certified, box) of dirichlet_generators, frozen.
+FROZEN_GENERATORS = [
+    (GOLDEN, ((3, -1, -1), (-1, 1, 0), (0, -1, 1)),
+     ((2, 1, 0), (0, 2, 1), (1, 2, 1)), True, 8),
+    (M131, ((3, -2, 0), (0, 3, -2), (-2, -6, 5)),
+     ((10, -2, -3), (-3, 1, 1), (1, 0, 0)), True, 16),
+    (M031, ((2, -1, 0), (0, 2, -1), (-1, -3, 2)),
+     ((9, 1, -3), (-3, 0, 1), (1, 0, 0)), True, 8),
+    (A42, ((29, -58, 4), (-14, 29, -2), (7, -14, 1)),
+     ((729, 1402, -104), (364, 729, -54), (189, 364, -27)), False, 32),
+]
+
+
+@pytest.mark.parametrize("c, g1, g2, certified, box", FROZEN_GENERATORS,
+                         ids=["golden", "M131", "M031", "A42"])
+def test_dirichlet_generators_frozen(c, g1, g2, certified, box):
+    group = dirichlet_generators(c)
+    assert (group.g1.rows, group.g2.rows, group.certified, group.box) == (
+        g1, g2, certified, box)
 
 
 ELEMENTARY = st.tuples(st.sampled_from([(i, j) for i in range(3) for j in range(3) if i != j]),

@@ -13,13 +13,19 @@ from cf3.zlinalg import (
     identity_rows,
     inverse_unimodular,
     left_kernel,
-    mat_mul,
-    mat_vec,
     right_kernel,
     solve_unique,
     transpose_rows,
     xgcd,
 )
+
+
+def mat_mul(a, b):
+    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
+
+
+def mat_vec(a, v):
+    return [sum(x * y for x, y in zip(row, v)) for row in a]
 
 
 def test_xgcd_exhaustive_small():
