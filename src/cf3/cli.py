@@ -202,7 +202,7 @@ def _run_classify(config):
 def _run_sail(config):
     m = _parsed_matrix(config)
     cone = eigen_cone(m)
-    group = dirichlet_generators(m)
+    group = dirichlet_generators(cone)
     complex_ = compute_sail(cone, config.radius)
     invariant = None
     invariant_error = None

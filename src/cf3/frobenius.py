@@ -254,15 +254,15 @@ def _intertwiner_basis(y, r):
     return [IntMat([vec[0:3], vec[3:6], vec[6:9]]) for vec in kern]
 
 
-def conjugate_commuting(c, r):
-    """Search for X in SL(3,Z) making X c X^-1 commute with r.
+def conjugate_commuting(basis, r):
+    """Search for X in SL(3,Z) making X c X^-1 commute with r, where
+    ``basis`` is the commutant basis of c.
 
     Returns (status, x): "conjugate" with a verified x, "no_fiber" when no
     integer commutant element of c has r's characteristic polynomial (a
     definitive refutation), or "inconclusive" when the determinant-form
     search ran out of box.
     """
-    basis = commutant_basis(c)
     chi_r = char_cubic(r)
     fiber = _commutant_fiber(basis, chi_r)
     if not fiber:
@@ -281,7 +281,7 @@ def conjugate_commuting(c, r):
                 x = -x
             assert x.det() == 1
             assert x @ y == r @ x
-            w = x @ c @ adjugate(x)
+            w = x @ basis.c @ adjugate(x)
             assert w @ r == r @ w
             return ("conjugate", x)
     return ("inconclusive", None)
@@ -298,11 +298,13 @@ def classify_fraction(c):
         raise ValueError("classification needs an irreducible 3x3 matrix")
     dc = char_cubic(c).discriminant()
     pending = False
+    basis = None
     for label, params in REFERENCE_PARAMS:
         rmat = params.matrix()
         if not _ratio_square(dc, char_cubic(rmat).discriminant()):
             continue
-        status, _ = conjugate_commuting(c, rmat)
+        basis = basis or commutant_basis(c)
+        status, _ = conjugate_commuting(basis, rmat)
         if status == "conjugate":
             return label
         if status == "inconclusive":

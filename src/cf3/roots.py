@@ -1,14 +1,16 @@
 """Exact real-root isolation and sign certification for polynomials.
 
-Polynomials are tuples of coefficients in descending degree order, with int
-or Fraction entries.  Every decision here is exact: root counting uses Sturm
-chains, intervals have rational endpoints, and signs are only read from
-interval evaluations that exclude zero.  ``sign_at_root`` takes its root
-from an irreducible p, so a polynomial vanishes there only when p divides
-it.
-"""
+Polynomials are tuples of integer coefficients in descending degree order.
+Points and intervals are dyadic, so every step runs on integers: the triple
+(lo, hi, k) is the interval [lo/2^k, hi/2^k], and a width (w, k) is w/2^k.
+Root counting uses Sturm chains of pseudo-remainders, and signs are only
+read from interval evaluations that exclude zero.
 
-from fractions import Fraction
+Roots are taken from monic integer polynomials without rational roots, such
+as chi of a hyperbolic matrix: every bisection point is dyadic, so none of
+them is a root.  ``sign_at_root`` takes its root from an irreducible p, so a
+polynomial vanishes there only when p divides it.
+"""
 
 from .errors import CoverageError
 
@@ -62,142 +64,118 @@ def poly_mul(p, q):
     return tuple(out)
 
 
-def poly_divmod(num, den):
-    """Quotient and remainder over Q; ``den`` must be nonzero."""
-    num, den = poly_strip(num), poly_strip(den)
-    if not den:
-        raise ZeroDivisionError("polynomial division by zero")
-    rem = [Fraction(c) for c in num]
-    lead = Fraction(den[0])
-    qlen = len(num) - len(den) + 1
-    if qlen <= 0:
-        return (), tuple(rem)
-    quo = [Fraction(0)] * qlen
-    for i in range(qlen):
-        f = rem[i] / lead
-        quo[i] = f
-        if f:
-            for j, c in enumerate(den):
-                rem[i + j] -= f * c
-    return poly_strip(quo), poly_strip(rem)
-
-
 def poly_mod(p, q):
-    return poly_divmod(p, q)[1]
+    """|lead(q)|^s * (p mod q) with s = max(deg p - deg q + 1, 0).
+
+    That is the remainder itself for monic q, and a positive multiple of it
+    otherwise, which keeps every sign a Sturm chain reads.
+    """
+    p, q = poly_strip(p), poly_strip(q)
+    if not q:
+        raise ZeroDivisionError("polynomial division by zero")
+    a = abs(q[0])
+    rem = list(p)
+    while len(rem) >= len(q):
+        f = rem[0] if q[0] > 0 else -rem[0]
+        rem = ([a * x - f * y for x, y in zip(rem[1:], q[1:])]
+               + [a * x for x in rem[len(q):]])
+    return poly_strip(rem)
 
 
-def poly_gcd(p, q):
-    """Monic gcd over Q (a nonzero constant gcd is returned as (1,))."""
-    a, b = poly_strip(p), poly_strip(q)
-    while b:
-        a, b = b, poly_mod(a, b)
-    if not a:
-        return ()
-    return poly_scale(a, Fraction(1, 1) / a[0])
+def _eval_at(p, x, k):
+    """2^(k*deg p) * p(x/2^k): an integer with the sign of p at x/2^k."""
+    acc = 0
+    for t, c in enumerate(p):
+        acc = acc * x + (c << k * t)
+    return acc
 
 
-def interval_eval(p, lo, hi):
-    """Exact enclosure of p over [lo, hi] by interval Horner evaluation."""
-    lo, hi = Fraction(lo), Fraction(hi)
-    alo = ahi = Fraction(0)
-    for c in p:
+def interval_eval(p, interval):
+    """Exact enclosure (lo, hi, e) of p over a dyadic interval by interval
+    Horner evaluation."""
+    lo, hi, k = interval
+    alo = ahi = 0
+    for t, c in enumerate(p):
         prods = (alo * lo, alo * hi, ahi * lo, ahi * hi)
+        c <<= k * t
         alo, ahi = min(prods) + c, max(prods) + c
-    return alo, ahi
+    return alo, ahi, k * max(len(p) - 1, 0)
 
 
 def sturm_chain(p):
     chain = [poly_strip(p), poly_derivative(p)]
     while chain[-1]:
-        rem = poly_mod(chain[-2], chain[-1])
-        chain.append(poly_scale(rem, -1))
+        chain.append(poly_scale(poly_mod(chain[-2], chain[-1]), -1))
     chain.pop()
     return chain
 
 
-def sign_variations(chain, x):
-    signs = []
-    for p in chain:
-        v = poly_eval(p, x)
-        if v:
-            signs.append(1 if v > 0 else -1)
+def sign_variations(chain, x, k):
+    signs = [v > 0 for v in (_eval_at(p, x, k) for p in chain) if v]
     return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
 
 
-def count_roots(chain, a, b):
+def count_roots(chain, interval):
     """Number of distinct real roots in the half-open interval (a, b]."""
-    if not a < b:
+    lo, hi, k = interval
+    if not lo < hi:
         raise ValueError("need a < b")
-    return sign_variations(chain, a) - sign_variations(chain, b)
+    return sign_variations(chain, lo, k) - sign_variations(chain, hi, k)
 
 
-def _midpoint_avoiding_roots(p, lo, hi):
-    # Nudge dyadically until the split point is not a root itself.
-    mid = (lo + hi) / 2
-    step = (hi - lo) / 4
-    while poly_eval(p, mid) == 0:
-        mid += step
-        step /= 2
-    return mid
+def _bisect(p, interval, neg_lo):
+    """The half of a sign-change bracket of p, negative at its left end
+    when ``neg_lo``, that keeps the sign change."""
+    lo, hi, k = interval
+    mid = lo + hi
+    v = _eval_at(p, mid, k + 1)
+    assert v, "bisection point is a rational root"
+    return (mid, 2 * hi, k + 1) if (v < 0) == neg_lo else (2 * lo, mid, k + 1)
 
 
 def isolate_real_roots(p):
-    """Disjoint isolating intervals for all real roots of a squarefree p.
+    """Disjoint isolating intervals for all real roots of a squarefree monic p.
 
-    Returns a sorted list of (lo, hi) Fraction pairs, one per real root, with
-    p(lo) and p(hi) nonzero and of opposite signs.
+    Returns a sorted list of dyadic triples, one per real root, with p
+    nonzero and of opposite signs at the two ends.
     """
     p = poly_strip(p)
-    if poly_degree(p) < 1:
-        raise ValueError("need a nonconstant polynomial")
-    if poly_degree(poly_gcd(p, poly_derivative(p))) != 0:
-        raise ValueError("polynomial must be squarefree")
+    if poly_degree(p) < 1 or p[0] != 1:
+        raise ValueError("need a monic nonconstant polynomial")
     chain = sturm_chain(p)
-    lead = Fraction(p[0])
-    bound = 1 + max(abs(Fraction(c) / lead) for c in p[1:]) if len(p) > 1 else Fraction(1)
+    if poly_degree(chain[-1]) != 0:
+        raise ValueError("polynomial must be squarefree")
+    bound = 1 + max(abs(c) for c in p[1:])
     out = []
 
-    def split(lo, hi, n):
-        if n == 0:
-            return
+    def split(lo, hi, k, n):
         if n == 1:
-            out.append((lo, hi))
-            return
-        mid = _midpoint_avoiding_roots(p, lo, hi)
-        left = count_roots(chain, lo, mid)
-        split(lo, mid, left)
-        split(mid, hi, n - left)
+            out.append((lo, hi, k))
+        elif n > 1:
+            mid = lo + hi
+            assert _eval_at(p, mid, k + 1), "bisection point is a rational root"
+            left = count_roots(chain, (2 * lo, mid, k + 1))
+            split(2 * lo, mid, k + 1, left)
+            split(mid, 2 * hi, k + 1, n - left)
 
-    split(-bound, bound, count_roots(chain, -bound, bound))
-    # Sharpen (a, b] counting intervals into sign-change brackets.
-    brackets = []
-    for lo, hi in out:
-        slo = poly_eval(p, lo)
-        shi = poly_eval(p, hi)
-        assert slo != 0 and shi != 0 and (slo > 0) != (shi > 0)
-        brackets.append((lo, hi))
-    return brackets
+    split(-bound, bound, 0, count_roots(chain, (-bound, bound, 0)))
+    for lo, hi, k in out:
+        assert _eval_at(p, lo, k) * _eval_at(p, hi, k) < 0
+    return out
 
 
-def refine_interval(p, lo, hi, width):
-    """Shrink a sign-change bracket of p below ``width`` by bisection."""
-    slo = poly_eval(p, lo)
-    assert slo != 0 and poly_eval(p, hi) != 0
-    neg_lo = slo < 0
-    while hi - lo > width:
-        mid = (lo + hi) / 2
-        v = poly_eval(p, mid)
-        if v == 0:
-            return mid, mid
-        if (v < 0) == neg_lo:
-            lo = mid
-        else:
-            hi = mid
-    return lo, hi
+def refine_interval(p, interval, width):
+    """Shrink a sign-change bracket of p to at most the dyadic ``width``
+    by bisection."""
+    w, e = width
+    neg_lo = _eval_at(p, interval[0], interval[2]) < 0
+    while (interval[1] - interval[0]) << e > w << interval[2]:
+        interval = _bisect(p, interval, neg_lo)
+    return interval
 
 
-def sign_at_root(g, p, lo, hi, max_bisections=4000):
-    """Exact sign of g at the unique root of p inside the bracket [lo, hi].
+def sign_at_root(g, p, interval, max_bisections=4000):
+    """Exact sign of g at the unique root of p inside the bracket.
 
     p must be irreducible over Q: then g vanishes at the root exactly when
     p divides it, and otherwise the sign is only ever read from an interval
@@ -208,24 +186,13 @@ def sign_at_root(g, p, lo, hi, max_bisections=4000):
     g = poly_mod(g, p)
     if not g:
         return 0
-    slo = poly_eval(p, lo)
-    assert slo != 0 and poly_eval(p, hi) != 0
-    neg_lo = slo < 0
+    neg_lo = _eval_at(p, interval[0], interval[2]) < 0
     for _ in range(max_bisections):
-        glo, ghi = interval_eval(g, lo, hi)
+        glo, ghi, _ = interval_eval(g, interval)
         if glo > 0:
             return 1
         if ghi < 0:
             return -1
-        mid = (lo + hi) / 2
-        v = poly_eval(p, mid)
-        if v == 0:
-            val = poly_eval(g, mid)
-            assert val != 0
-            return 1 if val > 0 else -1
-        if (v < 0) == neg_lo:
-            lo = mid
-        else:
-            hi = mid
+        interval = _bisect(p, interval, neg_lo)
     raise CoverageError("sign not separated after %d bisections"
                         % max_bisections)

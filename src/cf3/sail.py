@@ -7,17 +7,17 @@ with a compact quotient; the orbit counts and face areas of that quotient
 are integer-affine invariants that separate inequivalent fractions.
 
 Every geometric predicate here is decided exactly.  All exact tests at a
-root of chi read one shared set of isolating intervals (``_Roots``): signs
-come from ``sign_at_root``, positive bounds from refining until an interval
-evaluation excludes zero, and float evaluations carry rigorous error bounds
-from the same enclosures, with anything inside the error band decided
-exactly.
+root of chi, by the cone and by its unit group, read one set of dyadic
+isolating intervals (``_Roots``): signs come from ``sign_at_root``, positive
+bounds from refining until an interval evaluation excludes zero, and float
+evaluations (correctly rounded integer divisions) carry rigorous error
+bounds from the same enclosures, with anything inside the error band
+decided exactly.
 """
 
 import math
 from collections import Counter
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 import numpy as np
 from scipy.spatial import ConvexHull, QhullError
@@ -40,7 +40,7 @@ from .roots import (
 from .solver import TERNARY_CUBIC_EXPONENTS, grid_coords, grid_values
 from .zlinalg import coords_in_basis, hnf_with_transform
 
-ROOT_WIDTH = Fraction(1, 2**60)
+ROOT_WIDTH = (1, 60)  # 2^-60, as a dyadic width
 FACE_BOX_CAP = 512
 UNIT_BOXES = (4, 8, 16, 32)
 RADIUS_LADDER = (16, 32, 64, 128, 256)
@@ -48,8 +48,8 @@ CELL_BAND = 1e-6
 
 
 class _Roots:
-    """Isolating intervals of the three real roots of an irreducible monic
-    cubic chi, shared by every exact test at those roots.
+    """Dyadic isolating intervals (lo, hi, k) of the three real roots of an
+    irreducible monic cubic chi, shared by every exact test at those roots.
 
     ``cache`` holds values derived from the current intervals; every
     refinement clears it.
@@ -57,17 +57,17 @@ class _Roots:
 
     def __init__(self, chi):
         self.chi = chi
-        self.intervals = [refine_interval(chi, lo, hi, ROOT_WIDTH)
-                          for lo, hi in isolate_real_roots(chi)]
+        self.intervals = [refine_interval(chi, iv, ROOT_WIDTH)
+                          for iv in isolate_real_roots(chi)]
         assert len(self.intervals) == 3
         self.cache = {}
 
-    def width(self):
-        return max(hi - lo for lo, hi in self.intervals)
-
-    def refine(self, width):
-        self.intervals = [refine_interval(self.chi, lo, hi, width)
-                          for lo, hi in self.intervals]
+    def refine(self, bits):
+        """Refine all three intervals to 2^-bits times the widest width."""
+        k = max(iv[2] for iv in self.intervals)
+        w = max((hi - lo) << (k - e) for lo, hi, e in self.intervals)
+        self.intervals = [refine_interval(self.chi, iv, (w, k + bits))
+                          for iv in self.intervals]
         self.cache.clear()
 
     def cached(self, key, build):
@@ -76,21 +76,21 @@ class _Roots:
         return self.cache[key]
 
     def enclose(self, p, i):
-        """Exact Fraction bounds of p at root i."""
-        return interval_eval(p, *self.intervals[i])
+        """Exact dyadic bounds (lo, hi, e) of p at root i."""
+        return interval_eval(p, self.intervals[i])
 
     def sign(self, p, i):
         """Exact sign of p at root i."""
-        return sign_at_root(p, self.chi, *self.intervals[i])
+        return sign_at_root(p, self.chi, self.intervals[i])
 
     def positive(self, p, i, what):
-        """Bounds (lo, hi) of p at root i with 0 < lo, refining all three
-        intervals to a quarter of the widest until the lower end is positive."""
+        """Dyadic bounds (lo, hi, e) of p at root i with 0 < lo, refining all
+        three intervals to a quarter of the widest until lo is positive."""
         for _ in range(60):
-            lo, hi = self.enclose(p, i)
+            lo, hi, e = self.enclose(p, i)
             if lo > 0:
-                return lo, hi
-            self.refine(self.width() / 4)
+                return lo, hi, e
+            self.refine(2)
         raise CoverageError("positive %s failed to separate from zero" % what)
 
 
@@ -135,23 +135,26 @@ class EigenCone:
     face_cache: dict = field(default_factory=dict, repr=False)
 
     def dual_enclosures(self):
-        """Per root, per coordinate: exact Fraction bounds of the functional."""
+        """Per root, per coordinate: exact dyadic bounds of the functional."""
         return self.roots.cached("enc", lambda: tuple(
             tuple(self.roots.enclose(p, i) for p in self.duals[i])
             for i in range(3)))
 
     def ray_bounds(self):
-        """Per root: an exact bound of the ray's largest |coordinate|."""
+        """Per root: an exact dyadic bound (b, e) of the ray's largest
+        |coordinate|."""
+        def bound(encs):
+            e = max(enc[2] for enc in encs)
+            return max(max(abs(lo), abs(hi)) << (e - k) for lo, hi, k in encs), e
         return self.roots.cached("rays", lambda: tuple(
-            max(max(abs(lo), abs(hi)) for lo, hi in
-                (self.roots.enclose(p, i) for p in self.rays[i]))
+            bound([self.roots.enclose(p, i) for p in self.rays[i]])
             for i in range(3)))
 
     def _float_duals(self):
         def build():
             enc = self.dual_enclosures()
-            mids = np.array([[float((lo + hi) / 2) for lo, hi in row] for row in enc])
-            widths = np.array([[float(hi - lo) for lo, hi in row] for row in enc])
+            mids = np.array([[(lo + hi) / (2 << k) for lo, hi, k in row] for row in enc])
+            widths = np.array([[(hi - lo) / (1 << k) for lo, hi, k in row] for row in enc])
             return mids, widths * 0.51 + 2.3e-16 * np.abs(mids)
         return self.roots.cached("float", build)
 
@@ -375,11 +378,12 @@ def _certify_face(cone, normal, offset, box_cap=FACE_BOX_CAP):
         if roots.sign(combo, i) <= 0:
             return None
         combos.append(combo)
-    corner = Fraction(0)
+    corner = 0
     for i in range(3):
-        plo, _ = roots.positive(combos[i], i, "pairing")
-        corner = max(corner, Fraction(offset) * cone.ray_bounds()[i] / plo)
-    bound = int(corner) + 2
+        plo, _, e = roots.positive(combos[i], i, "pairing")
+        ray, k = cone.ray_bounds()[i]
+        corner = max(corner, (offset * ray << e) // (plo << k))
+    bound = corner + 2
     if bound > box_cap:
         return None
     plane_pts = []
@@ -467,15 +471,18 @@ class _Units:
     """Units of the commutant of a hyperbolic c in (E, A, B) coordinates,
     with their eigenvalues read at the roots of chi.
 
-    ``fa`` and ``fb`` express A and B as polynomials in c, so a member
-    pE + qA + rB has the eigenvalue polynomial p + q*fa + r*fb at each root.
+    ``fa / den`` and ``fb / den`` express A and B as polynomials in c with
+    integer ``fa`` and ``fb``, so a member pE + qA + rB has the eigenvalue
+    polynomial (p*den + q*fa + r*fb) / den at each root.
     """
 
-    def __init__(self, c):
+    def __init__(self, c, roots):
         self.basis = commutant_basis(c)
-        self.roots = _Roots((1,) + char_cubic(c).monic())
-        self.fa = express_in_powers(c, self.basis.a)
-        self.fb = express_in_powers(c, self.basis.b)
+        self.roots = roots
+        fa, fb = (express_in_powers(c, x) for x in (self.basis.a, self.basis.b))
+        self.den = math.lcm(*(x.denominator for x in fa + fb))
+        self.fa, self.fb = (tuple(x.numerator * (self.den // x.denominator) for x in f)
+                            for f in (fa, fb))
         members = self.basis.members()
         self._rows = [x.flat() for x in members]
         self._traces = [x.trace() for x in members]
@@ -503,19 +510,22 @@ class _Units:
         return a1 > 0 and a1 * a1 > square and det > 0
 
     def eig_poly(self, coords):
+        """The eigenvalue polynomial of a member times ``den``."""
         p, q, r = coords
         fa, fb = self.fa, self.fb
         return poly_strip((q * fa[0] + r * fb[0],
                            q * fa[1] + r * fb[1],
-                           p + q * fa[2] + r * fb[2]))
+                           p * self.den + q * fa[2] + r * fb[2]))
 
     def enclosures(self, m):
-        """Exact positive bounds of the unit m's eigenvalues at roots 0 and 1."""
+        """Exact positive bounds (lo, hi, e) of the unit m's eigenvalues at
+        roots 0 and 1, each standing for [lo, hi] / (den * 2^e)."""
         lam = self.eig_poly(self.coords(m))
         return [self.roots.positive(lam, i, "eigenvalue") for i in range(2)]
 
     def log(self, m):
-        return tuple(math.log(float((lo + hi) / 2)) for lo, hi in self.enclosures(m))
+        return tuple(math.log((lo + hi) / (self.den << e + 1))
+                     for lo, hi, e in self.enclosures(m))
 
 
 @dataclass(eq=False)
@@ -553,9 +563,9 @@ class DirichletGroup:
 
 def _log_intervals(units, m):
     out = []
-    for lo, hi in units.enclosures(m):
-        llo = math.log(float(lo))
-        lhi = math.log(float(hi))
+    for lo, hi, e in units.enclosures(m):
+        llo = math.log(lo / (units.den << e))
+        lhi = math.log(hi / (units.den << e))
         pad = 1e-9 + 1e-12 * max(abs(llo), abs(lhi))
         out.append((llo - pad, lhi + pad))
     return out
@@ -650,17 +660,17 @@ def _absorb(units, gens, u, lu):
     raise CoverageError("unit group index search exhausted")
 
 
-def dirichlet_generators(c):
+def dirichlet_generators(cone):
     """Two multiplicatively independent totally positive units from the
-    commutant of ``c``, reduced and (when possible) certified complete.
+    commutant of ``cone.c``, reduced and (when possible) certified complete.
+    Their eigenvalues are read at the cone's roots.
 
     ``certified`` means: every totally positive unit whose eigenvalue logs
     fit in the covering radius of the returned pair had coordinates inside
     the searched box, so the pair generates the whole positive unit group.
     """
-    if not is_hyperbolic(c):
-        raise ValueError("matrix must be hyperbolic")
-    units = _Units(c)
+    c = cone.c
+    units = _Units(c, cone.roots)
     form = det_form(units.basis.members())
     result = None
     for box in UNIT_BOXES:
@@ -684,8 +694,9 @@ def dirichlet_generators(c):
         if l2[1] < 0:
             m2 = _mat_power(m2, -1)
             l2 = (-l2[0], -l2[1])
-        s = np.array([[1.0] + [float(sum(units.roots.enclose(f, i)) / 2)
-                               for f in (units.fa, units.fb)] for i in range(3)])
+        encs = [[units.roots.enclose(f, i) for f in (units.fa, units.fb)] for i in range(3)]
+        s = np.array([[1.0] + [(lo + hi) / (units.den << e + 1) for lo, hi, e in row]
+                      for row in encs])
         ninf = float(np.abs(np.linalg.inv(s)).sum(axis=1).max())
         t_cap = math.log(0.98 * box / ninf) if 0.98 * box > ninf else -1.0
         certified = t_cap > 0 and (_norm_inf(l1) + _norm_inf(l2)) <= 2 * t_cap
@@ -717,7 +728,7 @@ def _assert_independent(group):
         dlo, dhi = p1[0] - p2[1], p1[1] - p2[0]
         if dlo > 0 or dhi < 0:
             return
-        roots.refine(roots.width() / 16)
+        roots.refine(4)
     raise AssertionError("generator logs not separated from dependence")
 
 
@@ -849,7 +860,7 @@ def torus_invariants(sail, group):
 def torus_invariant_for(c):
     """Full pipeline: cone, units, and sail orbits with radius escalation."""
     cone = eigen_cone(c)
-    group = dirichlet_generators(c)
+    group = dirichlet_generators(cone)
     last = None
     for radius in RADIUS_LADDER:
         try:

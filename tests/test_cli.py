@@ -161,7 +161,7 @@ def test_sail_unit_box_cap_exits_3(capsys):
 
 def test_sail_enclosure_cap_exits_3(capsys, monkeypatch):
     # Without refinement the unit eigenvalue enclosures never separate.
-    monkeypatch.setattr(sail, "refine_interval", lambda p, lo, hi, width: (lo, hi))
+    monkeypatch.setattr(sail, "refine_interval", lambda p, interval, width: interval)
     code, _, err = run_cli(capsys, "sail", "--matrix", GOLDEN)
     assert code == 3
     assert "positive eigenvalue failed to separate from zero" in err

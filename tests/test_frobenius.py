@@ -185,12 +185,13 @@ def test_commutant_fiber_needs_a_totally_real_matrix():
 
 
 def test_conjugate_commuting_statuses():
-    status, x = conjugate_commuting(GOLDEN, GOLDEN)
+    basis = commutant_basis(GOLDEN)
+    status, x = conjugate_commuting(basis, GOLDEN)
     assert status == "conjugate"
     # distinct fields: no commutant element of the golden matrix has the
     # other reference polynomial
     other = frobenius_matrix((0, 3, 1))
-    assert conjugate_commuting(GOLDEN, other)[0] == "no_fiber"
+    assert conjugate_commuting(basis, other)[0] == "no_fiber"
 
 
 def test_classify_reference_matrices():

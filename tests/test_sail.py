@@ -1,11 +1,11 @@
 import math
-from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, reject, settings
 from hypothesis import strategies as st
 
+from cf3 import sail
 from cf3.forms import det_form
 from cf3.intmat import CharCubic, IntMat, adjugate, char_cubic
 from cf3.roots import (
@@ -79,8 +79,8 @@ def test_eigen_cone_golden_structure():
     cone = eigen_cone(GOLDEN)
     chi, intervals = cone.roots.chi, cone.roots.intervals
     assert len(intervals) == 3
-    for (lo, hi), (lo2, _) in zip(intervals, intervals[1:]):
-        assert lo < hi < lo2
+    for (lo, hi, k), (lo2, _, k2) in zip(intervals, intervals[1:]):
+        assert lo < hi and hi << k2 < lo2 << k
     # The seed direction is strictly inside the chosen cone.
     assert cone.contains((0, 0, 1))
     assert all(cone.dual_sign(i, (0, 0, 1)) == 1 for i in range(3))
@@ -100,7 +100,7 @@ def test_eigen_cone_golden_structure():
         acc = ()
         for p, q in zip(cone.duals[i], cone.rays[i]):
             acc = poly_add(acc, poly_mul(p, q))
-        assert sign_at_root(acc, chi, *intervals[i]) > 0
+        assert sign_at_root(acc, chi, intervals[i]) > 0
 
 
 def test_eigen_cone_rejects_bad_input():
@@ -177,7 +177,7 @@ def test_compute_sail_tiny_radius():
 
 
 def test_dirichlet_golden_group():
-    group = dirichlet_generators(GOLDEN)
+    group = dirichlet_generators(eigen_cone(GOLDEN))
     assert group.g1.det() == 1 and group.g2.det() == 1
     assert group.g1 != E3 and group.g2 != E3
     assert group.certified
@@ -186,7 +186,7 @@ def test_dirichlet_golden_group():
     for g in (group.g1, group.g2):
         lam = units.eig_poly(units.coords(g))
         for i in range(3):
-            assert sign_at_root(lam, units.roots.chi, *units.roots.intervals[i]) > 0
+            assert sign_at_root(lam, units.roots.chi, units.roots.intervals[i]) > 0
     # C^2 is a totally positive unit, so it must be a group member.
     exps = group.member_exponents(GOLDEN @ GOLDEN)
     assert exps is not None
@@ -197,7 +197,7 @@ def test_dirichlet_golden_group():
 
 
 def test_dirichlet_a42_contains_the_matrix():
-    group = dirichlet_generators(A42)
+    group = dirichlet_generators(eigen_cone(A42))
     # The matrix itself is a totally positive unit in its own commutant.
     exps = group.member_exponents(A42)
     assert exps is not None
@@ -236,8 +236,8 @@ def test_cell_candidates_band():
 
 def test_sail_svg_deterministic():
     cone = eigen_cone(GOLDEN)
+    group = dirichlet_generators(cone)
     sail = compute_sail(cone, 16)
-    group = dirichlet_generators(GOLDEN)
     svg = sail_svg(sail, group)
     assert svg.startswith("<svg")
     assert "polygon" in svg
@@ -278,10 +278,9 @@ def test_descartes_total_positivity_matches_root_signs(c):
     # The coefficient-sign test of dirichlet_generators, read off traces and
     # the Gram table, agrees with the characteristic polynomial of the unit
     # matrix and with exact signs of its eigenvalue polynomial at every root.
-    units = _Units(c)
     chi = (1,) + char_cubic(c).monic()
-    intervals = [refine_interval(chi, lo, hi, ROOT_WIDTH)
-                 for lo, hi in isolate_real_roots(chi)]
+    units = _Units(c, _Roots(chi))
+    intervals = [refine_interval(chi, iv, ROOT_WIDTH) for iv in isolate_real_roots(chi)]
     positive = 0
     for coords, det in _unit_pool(det_form(units.basis.members()), 8):
         cubic = char_cubic(units.matrix(coords)).as_tuple()
@@ -289,14 +288,14 @@ def test_descartes_total_positivity_matches_root_signs(c):
         descartes = all(x > 0 for x in cubic)
         assert units.totally_positive(coords, det) == descartes
         lam = units.eig_poly(coords)
-        assert descartes == all(sign_at_root(lam, chi, *iv) > 0 for iv in intervals)
+        assert descartes == all(sign_at_root(lam, chi, iv) > 0 for iv in intervals)
         positive += descartes
     assert positive > 1
 
 
 def test_positive_enclosure_cap_raises_coverage_error():
     # chi vanishes at its own root, so its enclosure never excludes zero.
-    roots = dirichlet_generators(GOLDEN).units.roots
+    roots = dirichlet_generators(eigen_cone(GOLDEN)).units.roots
     with pytest.raises(CoverageError, match="positive eigenvalue"):
         roots.positive(roots.chi, 0, "eigenvalue")
 
@@ -309,7 +308,7 @@ def test_positive_pairing_cap_raises_coverage_error():
 
 def test_unit_index_search_cap_raises_coverage_error():
     # <g1^67, g2> has index 67 in the group, beyond the search up to 64.
-    group = dirichlet_generators(GOLDEN)
+    group = dirichlet_generators(eigen_cone(GOLDEN))
     gens = [(_mat_power(group.g1, 67), tuple(67 * x for x in group.log1)),
             (group.g2, group.log2)]
     with pytest.raises(CoverageError, match="index search exhausted"):
@@ -317,7 +316,8 @@ def test_unit_index_search_cap_raises_coverage_error():
 
 
 def _nests(inner, outer):
-    return all(lo <= a <= b <= hi for (a, b), (lo, hi) in zip(inner, outer))
+    return all(lo << k <= a << e <= b << e <= hi << k
+               for (a, b, k), (lo, hi, e) in zip(inner, outer))
 
 
 HYPERBOLIC_CUBICS = st.builds(CharCubic, *[st.integers(-9, 9)] * 3).filter(
@@ -334,9 +334,9 @@ def test_positive_bounds_the_value_at_the_root(cc, i, near, coeffs, eighth):
     interval, so its first enclosure straddles zero and must be refined."""
     roots = _Roots((1,) + cc.monic())
     if near:
-        lo, hi = roots.intervals[i]
-        t = lo + (hi - lo) * Fraction(eighth, 8)
-        p = (t.denominator, -t.numerator)
+        lo, hi, k = roots.intervals[i]
+        # x - t for t = lo + (hi - lo) * eighth / 8, scaled to integers
+        p = (1 << k + 3, -(8 * lo + (hi - lo) * eighth))
     else:
         p = poly_strip(coeffs)
     sign = roots.sign(p, i)
@@ -345,16 +345,16 @@ def test_positive_bounds_the_value_at_the_root(cc, i, near, coeffs, eighth):
     history = [list(roots.intervals)]
     refine = roots.refine
 
-    def recording(width):
-        refine(width)
+    def recording(bits):
+        refine(bits)
         history.append(list(roots.intervals))
 
     roots.refine = recording
-    lo, hi = roots.positive(p, i, "value")
+    lo, hi, e = roots.positive(p, i, "value")
     assert 0 < lo <= hi
     iv = roots.intervals[i]
-    assert sign_at_root(poly_add(p, (-lo,)), roots.chi, *iv) >= 0
-    assert sign_at_root(poly_add(poly_scale(p, -1), (hi,)), roots.chi, *iv) >= 0
+    assert sign_at_root(poly_add(poly_scale(p, 1 << e), (-lo,)), roots.chi, iv) >= 0
+    assert sign_at_root(poly_add(poly_scale(p, -1 << e), (hi,)), roots.chi, iv) >= 0
     assert all(_nests(b, a) for a, b in zip(history, history[1:]))
     if near:
         assert len(history) > 1
@@ -376,7 +376,7 @@ FROZEN_GENERATORS = [
 @pytest.mark.parametrize("c, g1, g2, certified, box", FROZEN_GENERATORS,
                          ids=["golden", "M131", "M031", "A42"])
 def test_dirichlet_generators_frozen(c, g1, g2, certified, box):
-    group = dirichlet_generators(c)
+    group = dirichlet_generators(eigen_cone(c))
     assert (group.g1.rows, group.g2.rows, group.certified, group.box) == (
         g1, g2, certified, box)
 
@@ -401,3 +401,16 @@ def test_torus_invariant_conjugation_invariant(word):
     except CoverageError:
         reject()
     assert key == GOLDEN_KEY
+
+
+def test_torus_invariant_isolates_roots_once(monkeypatch):
+    """The cone and the unit group of one matrix share one roots object."""
+    calls = []
+
+    def counting(p):
+        calls.append(p)
+        return isolate_real_roots(p)
+
+    monkeypatch.setattr(sail, "isolate_real_roots", counting)
+    assert torus_invariant_for(GOLDEN).key() == GOLDEN_KEY
+    assert len(calls) == 1
