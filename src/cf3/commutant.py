@@ -17,7 +17,7 @@ integers throughout; only (alpha, beta, gamma) are rationals.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
+from functools import cached_property
 
 from .intmat import IntMat, is_irreducible
 from .zlinalg import coords_in_basis, hnf_basis, right_kernel, solve_unique
@@ -63,9 +63,15 @@ class CommutantBasis:
     c: IntMat
     a: IntMat
     b: IntMat
-    alpha: Fraction
-    beta: Fraction
-    gamma: Fraction
+
+    @cached_property
+    def powers(self):
+        """(alpha, beta, gamma), solved for on first read."""
+        return express_in_powers(self.a, self.b)
+
+    alpha = property(lambda self: self.powers[0])
+    beta = property(lambda self: self.powers[1])
+    gamma = property(lambda self: self.powers[2])
 
     @property
     def e(self):
@@ -114,10 +120,7 @@ def normalize_basis(raw, c):
     h = hnf_basis([[x - m.rows[0][0] * e for x, e in zip(m.flat(), e_flat)]
                    for m in raw])
     assert len(h) == 2
-    a = _matrix_from_flat(h[0], 3)
-    b = _matrix_from_flat(h[1], 3)
-    alpha, beta, gamma = express_in_powers(a, b)
-    return CommutantBasis(c=c, a=a, b=b, alpha=alpha, beta=beta, gamma=gamma)
+    return CommutantBasis(c=c, a=_matrix_from_flat(h[0], 3), b=_matrix_from_flat(h[1], 3))
 
 
 def commutant_basis(c):
@@ -135,8 +138,9 @@ def basis_from_pair(c, a, b):
     zero = IntMat.zero(c.dim)
     if a @ c - c @ a != zero or b @ c - c @ b != zero:
         raise CommutantError("basis members must commute with C")
-    alpha, beta, gamma = express_in_powers(a, b)
-    return CommutantBasis(c=c, a=a, b=b, alpha=alpha, beta=beta, gamma=gamma)
+    basis = CommutantBasis(c=c, a=a, b=b)
+    basis.powers  # noqa: B018  - raises CommutantError eagerly
+    return basis
 
 
 def power_basis_index(c, lattice=None):

@@ -92,28 +92,21 @@ def q2(a):
     return BinaryQF(a12 // g, (a22 - a11) // g, -a21 // g)
 
 
-def _primitive_scaled(coeffs):
-    """Scale rational coefficients to a primitive integer tuple.
+def _primitive_scaled(ints, den):
+    """Scale the coefficients ints / den to a primitive integer tuple.
 
-    Returns (ints, scale) with scale * coeffs == ints, content(ints) == 1,
+    Returns (prim, scale) with scale * ints / den == prim, content(prim) == 1,
     and the first nonzero entry positive.  The scale is the unique positive
     rational doing this, up to the sign flip for the leading coefficient.
     """
-    coeffs = tuple(Fraction(c) for c in coeffs)
-    if all(c == 0 for c in coeffs):
-        raise ValueError("cannot normalize the zero form")
-    denom = lcm(*[c.denominator for c in coeffs])
-    ints = [int(c * denom) for c in coeffs]
     g = 0
     for v in ints:
-        g = gcd(g, abs(v))
-    ints = [v // g for v in ints]
-    scale = Fraction(denom, g)
-    lead = next(v for v in ints if v != 0)
-    if lead < 0:
-        ints = [-v for v in ints]
-        scale = -scale
-    return tuple(ints), scale
+        g = gcd(g, v)
+    if g == 0:
+        raise ValueError("cannot normalize the zero form")
+    if next(v for v in ints if v != 0) < 0:
+        g = -g
+    return tuple(v // g for v in ints), Fraction(den, g)
 
 
 @dataclass(frozen=True)
@@ -132,7 +125,9 @@ class BinaryCubicForm:
         return evaluate_form(self.as_tuple(), BINARY_CUBIC_EXPONENTS, (m, n))
 
     def primitive(self):
-        return _primitive_scaled(self.as_tuple())
+        coeffs = self.as_tuple()
+        den = lcm(*[c.denominator for c in coeffs])
+        return _primitive_scaled([c.numerator * (den // c.denominator) for c in coeffs], den)
 
 
 def p_bar(chi, alpha, beta):
@@ -143,14 +138,16 @@ def p_bar(chi, alpha, beta):
     exactly those of the translated product over the eigenvalues.
     """
     a1, a2, a3 = chi.as_tuple()
-    alpha = Fraction(alpha)
-    beta = Fraction(beta)
-    c30 = Fraction(1)
-    c21 = 2 * a1 * alpha + 3 * beta
-    c12 = (a2 + a1 * a1) * alpha * alpha + 4 * a1 * alpha * beta + 3 * beta * beta
-    c03 = ((a1 * a2 - a3) * alpha ** 3 + (a2 + a1 * a1) * alpha * alpha * beta
-           + 2 * a1 * alpha * beta * beta + beta ** 3)
-    return BinaryCubicForm(c30, c21, c12, c03)
+    # alpha = x / d and beta = y / d; nums are the coefficients of d^3 * p_bar
+    d = lcm(alpha.denominator, beta.denominator)
+    x = alpha.numerator * (d // alpha.denominator)
+    y = beta.numerator * (d // beta.denominator)
+    s = a2 + a1 * a1
+    nums = (d ** 3,
+            d * d * (2 * a1 * x + 3 * y),
+            d * (s * x * x + 4 * a1 * x * y + 3 * y * y),
+            (a1 * a2 - a3) * x ** 3 + s * x * x * y + 2 * a1 * x * y * y + y ** 3)
+    return BinaryCubicForm(*(Fraction(n, d ** 3) for n in nums))
 
 
 def bracket(a, b, ij, kl):
@@ -218,7 +215,7 @@ class TernaryCubicForm:
         return all(c == 0 for c in self.coeffs)
 
     def primitive(self):
-        return _primitive_scaled(self.coeffs)
+        return _primitive_scaled(self.coeffs, 1)
 
 
 def p_tilde(a, b):

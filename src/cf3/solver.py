@@ -2,10 +2,10 @@
 
 Three engines, in increasing specificity:
 
-* search_box: exhaustive scan of an integer box in a fixed canonical order
+* search_box: the first hit in an integer box in a fixed canonical order
   (shells of growing max-norm, then lexicographic with the per-coordinate
-  value order 0 < 1 < -1 < 2 < -2 < ...), numpy-vectorized when the
-  coefficients fit int64 arithmetic, with an exact re-check of any hit;
+  value order 0 < 1 < -1 < 2 < -2 < ...), scanned by growing shells and
+  numpy-vectorized when the coefficients fit int64, hits re-checked exactly;
 * modular_obstruction: the smallest modulus q where the form's residue set
   misses both 1 and -1, which certifies unsolvability;
 * pell_decide: a decision for binary quadratics of positive nonsquare
@@ -108,19 +108,23 @@ def grid_values(coeffs, exponents, coords):
 _GRID_CACHE = {}
 
 
-def _grids(arity, bound):
-    key = (arity, bound)
-    if key not in _GRID_CACHE:
-        coords = grid_coords(np.arange(-bound, bound + 1, dtype=np.int64), arity)
-        shell = np.zeros_like(coords[0])
-        for g in coords:
-            shell = np.maximum(shell, np.abs(g))
-        base = 2 * bound + 2
-        order = shell.copy()
-        for g in coords:
-            order = order * base + (2 * np.abs(g) - (g > 0))
-        _GRID_CACHE[key] = (coords, order)
-    return _GRID_CACHE[key]
+def _grid(arity, bound):
+    """Coordinate columns of a box of at least ``bound``, in canonical order.
+
+    Box b is then the first (2b+1)^arity points of any larger box, so one
+    grid per arity serves every box and only a larger bound rebuilds it.
+    """
+    if arity not in _GRID_CACHE or _GRID_CACHE[arity][0] < bound:
+        side = np.array(sorted(range(-bound, bound + 1), key=_rank), dtype=np.int64)
+        shell = side_shell = np.abs(side).astype(np.min_scalar_type(bound))
+        for _ in range(arity - 1):
+            shell = np.maximum.outer(shell, side_shell)
+        # stable (radix) sort of the rank-lexicographic grid by shell
+        perm = np.argsort(shell.ravel(), kind="stable")
+        n = side.size
+        coords = [side[perm // n ** (arity - 1 - k) % n] for k in range(arity)]
+        _GRID_CACHE[arity] = (bound, coords)
+    return _GRID_CACHE[arity][1]
 
 
 def _search_box_python(coeffs, exponents, bound, targets):
@@ -139,19 +143,27 @@ def search_box(coeffs, exponents, bound, targets=UNIT_TARGETS):
     """First point, in canonical order, where the form hits a target value.
 
     Returns (point, value) or None.  The numpy path is used whenever every
-    intermediate product provably fits int64; hits are re-verified exactly.
+    intermediate product provably fits int64; it evaluates the new points of
+    shells <= 1, 3, 7, ..., bound pass by pass and stops at the first pass
+    with a hit.  Hits are re-verified exactly.
     """
     coeffs = tuple(int(c) for c in coeffs)
     degree = max(sum(e) for e in exponents)
     limit = sum(abs(c) for c in coeffs) * max(1, bound) ** degree
     if limit < 2 ** 62 and max(abs(t) for t in targets) < 2 ** 62:
-        coords, order = _grids(len(exponents[0]), bound)
-        total = grid_values(coeffs, exponents, coords)
-        hits = np.flatnonzero(np.isin(total, np.array(targets, dtype=np.int64)))
-        if hits.size == 0:
-            return None
-        best = hits[np.argmin(order[hits])]
-        point = tuple(int(g[best]) for g in coords)
+        coords = _grid(len(exponents[0]), bound)
+        start, shell = 0, min(1, bound)
+        while True:
+            end = (2 * shell + 1) ** len(coords)
+            total = grid_values(coeffs, exponents, [g[start:end] for g in coords])
+            mask = np.logical_or.reduce([total == t for t in targets])
+            k = int(mask.argmax())
+            if mask[k]:
+                point = tuple(int(g[start + k]) for g in coords)
+                break
+            if shell == bound:
+                return None
+            start, shell = end, min(2 * shell + 1, bound)
     else:
         point = _search_box_python(coeffs, exponents, bound, targets)
         if point is None:

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cf3 import commutant
 from cf3.commutant import (
     CommutantError,
     basis_from_pair,
@@ -142,6 +143,25 @@ def test_basis_from_pair_checks_commutation():
         basis_from_pair(A42, GOLDEN, E3)
     nb = basis_from_pair(A42, A42, b_paper())
     assert (nb.alpha, nb.beta, nb.gamma) == (Fraction(1, 2), Fraction(-15), Fraction(29, 2))
+
+
+def test_power_coefficients_are_solved_on_first_read(monkeypatch):
+    calls = []
+
+    def counting(rows, rhs):
+        calls.append(1)
+        return solve_unique(rows, rhs)
+
+    monkeypatch.setattr(commutant, "solve_unique", counting)
+    nb = commutant_basis(A42)
+    assert calls == []
+    assert (nb.alpha, nb.beta, nb.gamma) == (Fraction(1, 2), 0, 0)
+    nb.gamma
+    assert calls == [1]
+    # an explicit pair is still checked when it is built: E commutes with C,
+    # but its powers do not span Q[C]
+    with pytest.raises(CommutantError):
+        basis_from_pair(A42, E3, A42)
 
 
 def unimodular_with_first_row(v):

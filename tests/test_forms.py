@@ -2,15 +2,18 @@
 
 import random
 from fractions import Fraction
+from math import gcd, lcm
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cf3.census import matrices_in_class
 from cf3.commutant import basis_from_pair, commutant_basis
 from cf3.forms import (BinaryCubicForm, BinaryQF, IntegralityError, MONOMIALS,
-                       P_TILDE_TABLE, TernaryCubicForm, bracket, p_bar,
-                       p_tilde, product_form, q2, q3)
-from cf3.intmat import IntMat, adjugate, char_cubic, is_irreducible
+                       P_TILDE_TABLE, TernaryCubicForm, _primitive_scaled,
+                       bracket, p_bar, p_tilde, product_form, q2, q3)
+from cf3.intmat import CharCubic, IntMat, adjugate, char_cubic, is_irreducible
 
 
 def rand_mat(rng, dim=3, lo=-5, hi=5):
@@ -97,6 +100,59 @@ def test_p_bar_alpha_zero_is_a_cube():
 def test_binary_cubic_primitive_rejects_zero():
     with pytest.raises(ValueError):
         BinaryCubicForm(Fraction(0), Fraction(0), Fraction(0), Fraction(0)).primitive()
+    with pytest.raises(ValueError):
+        _primitive_scaled((0, 0, 0, 0), 5)
+
+
+def oracle_p_bar(chi, alpha, beta):
+    # the coefficients computed in Fraction arithmetic, term by term
+    a1, a2, a3 = chi.as_tuple()
+    alpha = Fraction(alpha)
+    beta = Fraction(beta)
+    c21 = 2 * a1 * alpha + 3 * beta
+    c12 = (a2 + a1 * a1) * alpha * alpha + 4 * a1 * alpha * beta + 3 * beta * beta
+    c03 = ((a1 * a2 - a3) * alpha ** 3 + (a2 + a1 * a1) * alpha * alpha * beta
+           + 2 * a1 * alpha * beta * beta + beta ** 3)
+    return (Fraction(1), c21, c12, c03)
+
+
+def oracle_primitive(coeffs):
+    # clear the denominators, divide out the content, sign by the leading entry
+    coeffs = tuple(Fraction(c) for c in coeffs)
+    denom = lcm(*[c.denominator for c in coeffs])
+    ints = [int(c * denom) for c in coeffs]
+    g = 0
+    for v in ints:
+        g = gcd(g, abs(v))
+    ints = [v // g for v in ints]
+    scale = Fraction(denom, g)
+    if next(v for v in ints if v != 0) < 0:
+        ints = [-v for v in ints]
+        scale = -scale
+    return tuple(ints), scale
+
+
+RATIONALS = st.builds(Fraction, st.integers(-40, 40), st.integers(1, 12))
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(st.integers(-30, 30), st.integers(-30, 30), st.integers(-30, 30),
+       RATIONALS, RATIONALS)
+def test_p_bar_matches_fraction_oracle(a1, a2, a3, alpha, beta):
+    chi = CharCubic(a1, a2, a3)
+    f = p_bar(chi, alpha, beta)
+    want = oracle_p_bar(chi, alpha, beta)
+    assert f.as_tuple() == want
+    assert all(type(c) is Fraction for c in f.as_tuple())
+    prim, scale = f.primitive()
+    assert (prim, scale) == oracle_primitive(want)
+    assert tuple(scale * c for c in want) == prim
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(st.lists(st.integers(-50, 50), min_size=10, max_size=10).filter(any))
+def test_ternary_primitive_matches_fraction_oracle(coeffs):
+    assert TernaryCubicForm(tuple(coeffs)).primitive() == oracle_primitive(coeffs)
 
 
 def test_binary_cubic_primitive_sign_and_scale():

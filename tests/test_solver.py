@@ -1,14 +1,18 @@
 """Solver: box search, modular obstructions, and the quadratic cycle walk."""
 
 import random
+from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cf3.commutant import basis_from_pair
 from cf3.forms import (BinaryCubicForm, BinaryQF, TernaryCubicForm,
-                       product_form, q2, q3)
+                       evaluate_form, product_form, q2, q3)
 from cf3.intmat import IntMat, is_irreducible
-from cf3.solver import (BINARY_CUBIC_EXPONENTS, BINARY_QUAD_EXPONENTS, Caps,
+from cf3.solver import (_GRID_CACHE, BINARY_CUBIC_EXPONENTS, BINARY_QUAD_EXPONENTS,
+                        TERNARY_CUBIC_EXPONENTS, Caps, _grid, _rank,
                         _search_box_python, decide_product, decide_quadratic,
                         modular_obstruction, pell_decide, search_box)
 
@@ -56,6 +60,66 @@ def test_search_box_python_fallback_agrees():
             assert slow is None
         else:
             assert fast[0] == slow
+
+
+CUBIC_EXPONENTS = {2: BINARY_CUBIC_EXPONENTS, 3: TERNARY_CUBIC_EXPONENTS}
+
+
+def _python_answer(coeffs, exponents, bound):
+    point = _search_box_python(coeffs, exponents, bound, (1, -1))
+    return None if point is None else (point, evaluate_form(coeffs, exponents, point))
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(st.lists(st.integers(-6, 6), min_size=4, max_size=4), st.integers(0, 6))
+def test_search_box_binary_cubic_matches_python(coeffs, bound):
+    assert search_box(coeffs, BINARY_CUBIC_EXPONENTS, bound) == \
+        _python_answer(coeffs, BINARY_CUBIC_EXPONENTS, bound)
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(st.lists(st.integers(-6, 6), min_size=10, max_size=10), st.integers(0, 6))
+def test_search_box_ternary_cubic_matches_python(coeffs, bound):
+    assert search_box(coeffs, TERNARY_CUBIC_EXPONENTS, bound) == \
+        _python_answer(coeffs, TERNARY_CUBIC_EXPONENTS, bound)
+
+
+@pytest.mark.parametrize("coeffs, exponents, first", [
+    # n^2 (5n - m): a unit value needs n = +-1 and m = 5n -+ 1, so |m| >= 4
+    ((0, 0, -1, 5), BINARY_CUBIC_EXPONENTS, (4, 1)),
+    # z^2 (5z - x), free in y: the same on shell 4, with y = 0 first
+    ((0, 0, 5, 0, 0, 0, -1, 0, 0, 0), TERNARY_CUBIC_EXPONENTS, (4, 0, 1)),
+])
+def test_search_box_first_hit_past_the_first_passes(coeffs, exponents, first):
+    # shells <= 1 and <= 3 miss; the third pass (shells 4..6) finds it
+    for bound in (4, 5, 6):
+        assert search_box(coeffs, exponents, bound) == (first, 1)
+        assert _search_box_python(coeffs, exponents, bound, (1, -1)) == first
+    assert search_box(coeffs, exponents, 3) is None
+
+
+@pytest.mark.parametrize("arity", [2, 3])
+def test_grid_prefix_is_canonical_order(arity):
+    # the cache may hold a larger box; its first 9^arity points are box 4
+    listed = list(zip(*[g[:9 ** arity].tolist() for g in _grid(arity, 4)]))
+    for b in range(5):
+        box = sorted(product(range(-b, b + 1), repeat=arity),
+                     key=lambda p: (max(abs(v) for v in p), [_rank(v) for v in p]))
+        assert listed[:len(box)] == box
+
+
+def test_search_box_reads_a_prefix_of_a_larger_grid():
+    rng = random.Random(12)
+    forms = [(tuple(rng.randint(-6, 6) for _ in range(len(CUBIC_EXPONENTS[a]))), a)
+             for a in (2, 3) for _ in range(40)]
+    _GRID_CACHE.clear()
+    fresh = [search_box(c, CUBIC_EXPONENTS[a], 12) for c, a in forms]
+    _GRID_CACHE.clear()
+    for a in (2, 3):
+        search_box((0,) * len(CUBIC_EXPONENTS[a]), CUBIC_EXPONENTS[a], 50)
+        assert _GRID_CACHE[a][0] == 50
+    assert [search_box(c, CUBIC_EXPONENTS[a], 12) for c, a in forms] == fresh
+    assert all(_GRID_CACHE[a][0] == 50 for a in (2, 3))
 
 
 def test_search_box_huge_coefficients_use_exact_path():
