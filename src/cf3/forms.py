@@ -195,6 +195,10 @@ def _build_p_tilde_table():
 
 P_TILDE_TABLE = _build_p_tilde_table()
 
+# P_TILDE_TABLE as one flat list of (monomial, flat index, flat index, mult)
+_P_TILDE_FLAT = tuple((n, 3 * i + j - 4, 3 * k + l - 4, mult) for n, name in enumerate(MONOMIALS)
+                      for (i, j), (k, l), mult in P_TILDE_TABLE[name])
+
 
 @dataclass(frozen=True)
 class TernaryCubicForm:
@@ -222,12 +226,10 @@ def p_tilde(a, b):
     """The ternary cubic of bracket sums between 3x3 matrices a and b."""
     if a.dim != 3 or b.dim != 3:
         raise ValueError("p_tilde needs 3x3 matrices")
-    coeffs = []
-    for name in MONOMIALS:
-        total = 0
-        for ij, kl, mult in P_TILDE_TABLE[name]:
-            total += mult * bracket(a, b, ij, kl)
-        coeffs.append(total)
+    af, bf = a.flat(), b.flat()
+    coeffs = [0] * len(MONOMIALS)
+    for n, p, q, mult in _P_TILDE_FLAT:
+        coeffs[n] += mult * (af[p] * bf[q] - af[q] * bf[p])
     return TernaryCubicForm(tuple(coeffs))
 
 

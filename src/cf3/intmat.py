@@ -146,28 +146,22 @@ def adjugate(m):
     r = m.rows
     if m.dim == 2:
         return IntMat(((r[1][1], -r[0][1]), (-r[1][0], r[0][0])))
-
-    def cof(i, j):
-        ri = [a for a in range(3) if a != i]
-        cj = [b for b in range(3) if b != j]
-        minor = r[ri[0]][cj[0]] * r[ri[1]][cj[1]] - r[ri[0]][cj[1]] * r[ri[1]][cj[0]]
-        return minor if (i + j) % 2 == 0 else -minor
-
-    # entry (i, j) of the adjugate is the (j, i) cofactor
-    return IntMat(tuple(tuple(cof(j, i) for j in range(3)) for i in range(3)))
+    (a, b, c), (d, e, f), (g, h, i) = r
+    return IntMat(((e * i - f * h, c * h - b * i, b * f - c * e),
+                   (f * g - d * i, a * i - c * g, c * d - a * f),
+                   (d * h - e * g, b * g - a * h, a * e - b * d)))
 
 
-def _divisors(n):
-    n = abs(n)
-    out = []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            if d != n // d:
-                out.append(n // d)
-        d += 1
-    return sorted(out)
+def _integer_root(a1, a2, a3, lo, hi, sign):
+    """Whether g(x) = x^3 - a1 x^2 + a2 x - a3 vanishes at an integer of
+    [lo, hi], where sign*g is nondecreasing (bisection)."""
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if sign * (((mid - a1) * mid + a2) * mid - a3) >= 0:
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo == hi and ((lo - a1) * lo + a2) * lo - a3 == 0
 
 
 def is_square(n):
@@ -198,11 +192,17 @@ class CharCubic:
                 - 4 * a2 ** 3 - 27 * a3 ** 2)
 
     def has_rational_root(self):
-        # monic integer cubic: any rational root is an integer dividing the
-        # constant term
-        if self.a3 == 0:
+        # A rational root of a monic integer cubic is an integer dividing a3.
+        # g = -chi is monotone between its critical points (a1 -+ sqrt(d))/3,
+        # d = a1^2 - 3*a2; s = isqrt(d) <= sqrt(d) < s + 1 keeps each piece of
+        # [-|a3|, |a3|] monotone for bisection (s = 0 when g only increases).
+        a1, a2, a3 = self.a1, self.a2, self.a3
+        if a3 == 0:
             return True
-        return any(self.evaluate(r) == 0 for d in _divisors(self.a3) for r in (d, -d))
+        s = isqrt(max(a1 * a1 - 3 * a2, 0))
+        p, q, b = -((s - a1) // 3), (a1 + s) // 3, abs(a3)
+        return any(_integer_root(a1, a2, a3, max(lo, -b), min(hi, b), sign)
+                   for lo, hi, sign in ((-b, p - 1, 1), (p, q, -1), (q + 1, b, 1)))
 
     def is_irreducible(self):
         return not self.has_rational_root()

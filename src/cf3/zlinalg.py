@@ -1,14 +1,14 @@
 """Exact linear algebra over the integers.
 
-Row-style Hermite reduction with a tracked unimodular transform is the
-workhorse: it yields canonical lattice bases, integer kernels (automatically
+Row-style Hermite reduction, carrying its unimodular transform when asked, is
+the workhorse: it yields canonical lattice bases, integer kernels (automatically
 saturated, because the transform is unimodular), inverses of unimodular
 matrices, and the solutions of linear systems, read off an integer kernel.
 Lattice coordinates are integers, by forward substitution on an echelon
 basis; a Fraction appears only as the solution of a rational system.
 
 Matrices in this module are plain lists of lists; sizes run up to 9x9 (the
-commutator systems of 3x3 matrices), where dense exact elimination is
+intertwiner systems of 3x3 matrices), where dense exact elimination is
 trivially fast.
 """
 
@@ -40,26 +40,17 @@ def transpose_rows(rows):
     return [list(col) for col in zip(*rows)]
 
 
-def hnf_with_transform(rows):
-    """Row Hermite normal form with its unimodular transform.
-
-    Returns (h, u, rank) where u is unimodular, u @ rows == h, the first
-    ``rank`` rows of h are the canonical echelon basis of the row lattice
-    (positive pivots, entries above each pivot reduced into [0, pivot)), and
-    the remaining rows of h are zero.
-    """
+def _echelon(rows, ncols):
+    """Row Hermite reduction pivoting on the first ``ncols`` columns; row
+    operations act on whole rows, so later columns ride along.  (h, rank)."""
     h = [list(map(int, r)) for r in rows]
     n = len(h)
-    ncols = len(h[0]) if n else 0
-    u = identity_rows(n)
     rank = 0
     for c in range(ncols):
         piv = next((i for i in range(rank, n) if h[i][c] != 0), None)
         if piv is None:
             continue
-        if piv != rank:
-            h[rank], h[piv] = h[piv], h[rank]
-            u[rank], u[piv] = u[piv], u[rank]
+        h[rank], h[piv] = h[piv], h[rank]
         for i in range(rank + 1, n):
             if h[i][c] == 0:
                 continue
@@ -68,30 +59,37 @@ def hnf_with_transform(rows):
             aa, bb = a // g, b // g
             # [[s, t], [-bb, aa]] has determinant (s*a + t*b)/g = 1
             h[rank], h[i] = (
-                [s * h[rank][k] + t * h[i][k] for k in range(ncols)],
-                [-bb * h[rank][k] + aa * h[i][k] for k in range(ncols)],
-            )
-            u[rank], u[i] = (
-                [s * u[rank][k] + t * u[i][k] for k in range(n)],
-                [-bb * u[rank][k] + aa * u[i][k] for k in range(n)],
+                [s * x + t * y for x, y in zip(h[rank], h[i])],
+                [-bb * x + aa * y for x, y in zip(h[rank], h[i])],
             )
         if h[rank][c] < 0:
             h[rank] = [-x for x in h[rank]]
-            u[rank] = [-x for x in u[rank]]
         p = h[rank][c]
         for i in range(rank):
             q = h[i][c] // p
             if q:
-                h[i] = [h[i][k] - q * h[rank][k] for k in range(ncols)]
-                u[i] = [u[i][k] - q * u[rank][k] for k in range(n)]
+                h[i] = [x - q * y for x, y in zip(h[i], h[rank])]
         rank += 1
-    return h, u, rank
+    return h, rank
+
+
+def hnf_with_transform(rows):
+    """Row Hermite normal form with its unimodular transform.
+
+    Returns (h, u, rank) where u is unimodular, u @ rows == h, the first
+    ``rank`` rows of h are the canonical echelon basis of the row lattice
+    (positive pivots, entries above each pivot reduced into [0, pivot)), and
+    the remaining rows of h are zero.  u rides along as appended columns.
+    """
+    ncols = len(rows[0]) if rows else 0
+    aug, rank = _echelon([list(r) + e for r, e in zip(rows, identity_rows(len(rows)))], ncols)
+    return [r[:ncols] for r in aug], [r[ncols:] for r in aug], rank
 
 
 def hnf_basis(rows):
     """Canonical basis (nonzero HNF rows) of the lattice spanned by ``rows``."""
-    h, _, rank = hnf_with_transform(rows)
-    return [h[i] for i in range(rank)]
+    h, rank = _echelon(rows, len(rows[0]) if rows else 0)
+    return h[:rank]
 
 
 def left_kernel(rows):

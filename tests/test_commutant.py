@@ -2,7 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from cf3 import commutant
@@ -15,13 +15,27 @@ from cf3.commutant import (
     normalize_basis,
     power_basis_index,
 )
-from cf3.intmat import IntMat, is_irreducible, matrix_norm
-from cf3.zlinalg import (hnf_basis, hnf_with_transform, inverse_unimodular, solve_unique,
-                         transpose_rows)
+from cf3.intmat import IntMat, is_irreducible, matrix_norm, parse_matrix
+from cf3.zlinalg import (hnf_basis, hnf_with_transform, inverse_unimodular, right_kernel,
+                         solve_unique, transpose_rows)
 
 GOLDEN = IntMat([[0, 1, 0], [0, 0, 1], [1, 2, -1]])
 A42 = IntMat([[1, 2, 0], [0, 1, 2], [-7, 0, 29]])
 E3 = IntMat.identity(3)
+# norm 4,790: its basis has entries near 6e8 and |det A| near 1e17
+A4790 = parse_matrix("175,-490,-974;497,-557,-165;-428,-628,876")
+
+
+def kernel_lattice(c):
+    """Reference: the Hermite basis of the integer kernel of X -> XC - CX,
+    from the 9x9 commutator equations."""
+    rows = c.rows
+    eqs = [[(rows[q][j] if p == i else 0) - (rows[i][p] if q == j else 0)
+            for p in range(3) for q in range(3)]
+           for i in range(3) for j in range(3)]
+    kernel = right_kernel(eqs)
+    assert len(kernel) == 3
+    return [IntMat([v[0:3], v[3:6], v[6:9]]) for v in hnf_basis(kernel)]
 
 
 def b_paper():
@@ -87,7 +101,7 @@ def test_commutant_property_random():
         c = random_irreducible(rng)
         seen += 1
         lat = commutant_lattice(c)
-        assert len(lat) == 3
+        assert lat == kernel_lattice(c)
         for x in lat:
             assert x @ c == c @ x
         nb = normalize_basis(lat, c)
@@ -148,11 +162,11 @@ def test_basis_from_pair_checks_commutation():
 def test_power_coefficients_are_solved_on_first_read(monkeypatch):
     calls = []
 
-    def counting(rows, rhs):
+    def counting(a, b):
         calls.append(1)
-        return solve_unique(rows, rhs)
+        return express_in_powers(a, b)
 
-    monkeypatch.setattr(commutant, "solve_unique", counting)
+    monkeypatch.setattr(commutant, "express_in_powers", counting)
     nb = commutant_basis(A42)
     assert calls == []
     assert (nb.alpha, nb.beta, nb.gamma) == (Fraction(1, 2), 0, 0)
@@ -162,6 +176,43 @@ def test_power_coefficients_are_solved_on_first_read(monkeypatch):
     # but its powers do not span Q[C]
     with pytest.raises(CommutantError):
         basis_from_pair(A42, E3, A42)
+    assert calls == [1, 1]
+
+
+def test_express_in_powers_is_exact_cramer():
+    # D = 0: e1 is an eigenvector of A, so E, A, A^2 span at most a plane
+    with pytest.raises(CommutantError):
+        express_in_powers(IntMat([[2, 1, 0], [0, 3, 1], [0, 1, 5]]), E3)
+    # D != 0 but B agrees with a polynomial in A on the first column only
+    a = IntMat([[0, 0, 1], [1, 0, 2], [0, 1, -3]])
+    with pytest.raises(CommutantError):
+        express_in_powers(a, a @ a + IntMat([[0, 0, 0], [0, 0, 0], [0, 1, 0]]))
+    assert express_in_powers(a, 3 * (a @ a) - a + 2 * E3) == (3, -1, 2)
+
+
+def test_large_entry_matrix_matches_kernel_oracle():
+    nb = commutant_basis(A4790)
+    assert nb == normalize_basis(kernel_lattice(A4790), A4790)
+    assert commutant_lattice(A4790) == kernel_lattice(A4790)
+    assert nb.a.rows[0] == (0, 2, 73391642)
+
+
+def test_large_entry_matrix_powers():
+    nb = commutant_basis(A4790)
+    assert (nb.alpha, nb.beta, nb.gamma) == (
+        Fraction(-1, 127783830266478), Fraction(539776462874800, 63891915133239),
+        Fraction(172599966113119, 7099101681471))
+    assert nb.reconstruct_b() == tuple(tuple(Fraction(x) for x in row) for row in nb.b.rows)
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(st.lists(st.integers(-1000, 1000), min_size=9, max_size=9))
+def test_closed_form_basis_matches_kernel_oracle(entries):
+    c = IntMat([entries[0:3], entries[3:6], entries[6:9]])
+    assume(is_irreducible(c))
+    nb = commutant_basis(c)
+    assert nb == normalize_basis(kernel_lattice(c), c)
+    assert nb.reconstruct_b() == tuple(tuple(Fraction(x) for x in row) for row in nb.b.rows)
 
 
 def unimodular_with_first_row(v):
@@ -199,7 +250,7 @@ def test_normalize_basis_matches_unimodular_completion(seed, moves, order, signs
     """Any unimodular remix of the lattice basis normalizes to the pair the
     unimodular-completion route reaches."""
     c = random_irreducible(random.Random(seed))
-    rows = [s * m for s, m in zip(signs, (commutant_lattice(c)[i] for i in order))]
+    rows = [s * m for s, m in zip(signs, (kernel_lattice(c)[i] for i in order))]
     for i, shift, k in moves:
         j = (i + shift) % 3
         rows[i] = rows[i] + k * rows[j]

@@ -181,6 +181,15 @@ def test_bracket_index_validation():
         bracket(A42, A42, (0, 1), (1, 2))
 
 
+def test_p_tilde_matches_bracket_sums():
+    rng = random.Random(29)
+    for _ in range(200):
+        a, b = rand_mat(rng, lo=-50, hi=50), rand_mat(rng, lo=-50, hi=50)
+        want = tuple(sum(mult * bracket(a, b, ij, kl) for ij, kl, mult in P_TILDE_TABLE[name])
+                     for name in MONOMIALS)
+        assert p_tilde(a, b).coeffs == want
+
+
 def test_p_tilde_vanishes_on_equal_arguments_and_is_antisymmetric():
     rng = random.Random(17)
     for _ in range(50):

@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cf3.intmat import (
     CharCubic,
@@ -69,6 +71,59 @@ def test_adjugate_product_identity_random():
         de = d * IntMat.identity(k)
         assert m @ adj == de
         assert adj @ m == de
+
+
+def cofactor_adjugate(m):
+    """Reference: entry (i, j) is the (j, i) cofactor, from 2x2 minors."""
+    r = m.rows
+
+    def cof(i, j):
+        ri = [a for a in range(3) if a != i]
+        cj = [b for b in range(3) if b != j]
+        minor = r[ri[0]][cj[0]] * r[ri[1]][cj[1]] - r[ri[0]][cj[1]] * r[ri[1]][cj[0]]
+        return minor if (i + j) % 2 == 0 else -minor
+
+    return IntMat(tuple(tuple(cof(j, i) for j in range(3)) for i in range(3)))
+
+
+def test_adjugate_matches_cofactors():
+    rng = random.Random(3)
+    for _ in range(300):
+        m = random_intmat(rng, lo=-2, hi=2)
+        assert adjugate(m) == cofactor_adjugate(m)
+
+
+def divisor_roots(c):
+    """Reference: the integer roots of chi, by trial over the divisors of a3."""
+    n = abs(c.a3)
+    return [r for d in range(1, n + 1) if n % d == 0 for r in (d, -d) if c.evaluate(r) == 0]
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(st.integers(-60, 60), st.integers(-60, 60), st.integers(-60, 60),
+       st.integers(-3000, 3000))
+def test_rational_root_matches_divisor_trial(r, u, v, a3):
+    # chi with the root r (chi = -(x - r)(x^2 + u x + v)), and a free cubic
+    for c in (CharCubic(r - u, v - r * u, r * v), CharCubic(r, u, a3)):
+        assert c.has_rational_root() == (c.a3 == 0 or bool(divisor_roots(c)))
+
+
+def test_rational_root_near_10_to_12():
+    for r in (10 ** 12 + 39, -(10 ** 12) + 7, 999_999_999_989):
+        for u, v in ((0, 1), (3, -2), (-5, 7), (1, 1), (-2 * r - 1, r * r + r)):
+            assert CharCubic(r - u, v - r * u, r * v).has_rational_root()
+    for t in (10 ** 12, -(10 ** 12) + 3):
+        # (x - t)^3 - 2 has no integer root; (x - t)^3 - 8 has t + 2
+        assert not CharCubic(3 * t, 3 * t * t, t ** 3 + 2).has_rational_root()
+        assert CharCubic(3 * t, 3 * t * t, t ** 3 + 8).has_rational_root()
+
+
+def test_irreducible_with_large_determinant():
+    m = parse_matrix("912345,-404321,77777;-123457,654321,-999983;271828,-314159,161803")
+    c = char_cubic(m)
+    # no root mod 7 rules out an integer root independently
+    assert all(c.evaluate(x) % 7 for x in range(7))
+    assert is_irreducible(m)
 
 
 def test_irreducibility_examples():

@@ -49,7 +49,7 @@ def test_imports_point_strictly_down():
 
 
 
-FRACTION_MODULES = {"zlinalg", "forms", "acceptance"}
+FRACTION_MODULES = {"zlinalg", "commutant", "forms", "acceptance"}
 
 
 def test_only_rational_answer_modules_import_fractions():
