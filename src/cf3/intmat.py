@@ -31,6 +31,14 @@ class IntMat:
             raise ValueError("expected a square 2x2 or 3x3 matrix")
         object.__setattr__(self, "rows", rows)
 
+    @classmethod
+    def _of(cls, rows):
+        """Wrap ``rows`` made by integer arithmetic on other IntMats: a tuple
+        of k tuples of k ints, taken without conversion or checks."""
+        m = object.__new__(cls)
+        object.__setattr__(m, "rows", rows)
+        return m
+
     def __setattr__(self, name, value):
         raise AttributeError("IntMat is immutable")
 
@@ -81,10 +89,17 @@ class IntMat:
 
     def __matmul__(self, other):
         self._check_dim(other)
-        k = self.dim
-        return IntMat(tuple(
-            tuple(sum(self.rows[i][l] * other.rows[l][j] for l in range(k)) for j in range(k))
-            for i in range(k)))
+        if self.dim == 2:
+            (a, b), (c, d) = self.rows
+            (p, q), (r, s) = other.rows
+            return IntMat._of(((a * p + b * r, a * q + b * s),
+                               (c * p + d * r, c * q + d * s)))
+        (a, b, c), (d, e, f), (g, h, i) = self.rows
+        (p, q, r), (s, t, u), (v, w, x) = other.rows
+        return IntMat._of(
+            ((a * p + b * s + c * v, a * q + b * t + c * w, a * r + b * u + c * x),
+             (d * p + e * s + f * v, d * q + e * t + f * w, d * r + e * u + f * x),
+             (g * p + h * s + i * v, g * q + h * t + i * w, g * r + h * u + i * x)))
 
     def __pow__(self, n):
         if not isinstance(n, int) or n < 0:

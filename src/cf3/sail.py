@@ -581,7 +581,9 @@ def _solve_cell(l1, l2, w):
 def _unit_pool(form, box):
     # Points of the box where the determinant form is +-1, lexicographically,
     # each with its form value.
-    assert sum(abs(c) for c in form.coeffs) * max(1, box) ** 3 < 2**62
+    if sum(abs(c) for c in form.coeffs) * max(1, box) ** 3 >= 2**62:
+        raise CoverageError("determinant form values at unit box %d may overflow "
+                            "int64" % box)
     coords = grid_coords(np.arange(-box, box + 1, dtype=np.int64), 3)
     val = grid_values(form.coeffs, TERNARY_CUBIC_EXPONENTS, coords)
     return [(tuple(int(g[k]) for g in coords), int(val[k]))
@@ -729,7 +731,7 @@ def _assert_independent(group):
         if dlo > 0 or dhi < 0:
             return
         roots.refine(4)
-    raise AssertionError("generator logs not separated from dependence")
+    raise CoverageError("generator logs not separated from dependence")
 
 
 @dataclass(frozen=True)

@@ -159,6 +159,22 @@ def test_sail_unit_box_cap_exits_3(capsys):
     assert "fewer than two independent positive units" in err
 
 
+def test_sail_int64_unit_box_exits_3(capsys):
+    # the determinant form's coefficients leave no int64 headroom at box 32
+    code, _, err = run_cli(capsys, "sail", "--matrix", "0,1,0;300,-89400,26819701;1,-298,89399")
+    assert code == 3
+    assert "may overflow int64" in err
+
+
+def test_sail_independence_cap_exits_3(capsys, monkeypatch):
+    # Log intervals that always straddle zero never separate the generators.
+    monkeypatch.setattr(sail, "_log_intervals", lambda units, m: [(-1.0, 1.0)] * 2)
+    monkeypatch.setattr(sail._Roots, "refine", lambda self, bits: None)
+    code, _, err = run_cli(capsys, "sail", "--matrix", GOLDEN)
+    assert code == 3
+    assert "generator logs not separated from dependence" in err
+
+
 def test_sail_enclosure_cap_exits_3(capsys, monkeypatch):
     # Without refinement the unit eigenvalue enclosures never separate.
     monkeypatch.setattr(sail, "refine_interval", lambda p, interval, width: interval)

@@ -190,6 +190,22 @@ def test_matmul_pow_and_ops():
     assert c.apply((0, 0, 1)) == (0, 1, -1)
 
 
+def _square(k):
+    return st.lists(st.lists(st.integers(-10 ** 30, 10 ** 30), min_size=k, max_size=k),
+                    min_size=k, max_size=k)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(st.sampled_from((2, 3)).flatmap(lambda k: st.tuples(_square(k), _square(k))))
+def test_matmul_matches_generic_sum(pair):
+    x, y = pair
+    k = len(x)
+    product = IntMat(x) @ IntMat(y)
+    assert product.rows == tuple(tuple(sum(x[i][l] * y[l][j] for l in range(k))
+                                       for j in range(k)) for i in range(k))
+    assert all(type(v) is int for v in product.flat())
+
+
 def test_char_quad():
     q = char_quad(IntMat([[0, 1], [1, 1]]))
     assert (q.t, q.d) == (1, -1)
