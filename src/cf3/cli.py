@@ -17,7 +17,7 @@ import sys
 from dataclasses import asdict, dataclass
 
 from .acceptance import SEED, exit_code, format_report, run_claims
-from .census import HYPERBOLIC, census, census_records, matrices_in_class, matrix_from_flat
+from .census import HYPERBOLIC, census, census_records, matrices_in_class
 from .commutant import commutant_basis, commutant_lattice, power_basis_index
 from .forms import MONOMIALS, q2, q3
 from .frobenius import LABELS, classify_fraction, decide_thm2, decide_thm3, hunt
@@ -176,22 +176,22 @@ def _run_frobenius(config):
     return 3 if verdict.status == "undecided" else 0
 
 
-def _label_chunk(flats):
-    return [(flat, classify_fraction(matrix_from_flat(flat))) for flat in flats]
+def _label_chunk(matrices):
+    return [(m, classify_fraction(m)) for m in matrices]
 
 
 def _run_classify(config):
-    flats = [m.flat() for m in matrices_in_class(3, config.norm, (HYPERBOLIC,))]
-    pairs = parallel_map_chunked(_label_chunk, flats, workers=config.workers,
+    matrices = matrices_in_class(3, config.norm, (HYPERBOLIC,))
+    pairs = parallel_map_chunked(_label_chunk, matrices, workers=config.workers,
                                  chunk_size=64)
     counts = dict.fromkeys(LABELS, 0)
     for _, label in pairs:
         counts[label] += 1
     if config.jsonl:
         with open(config.jsonl, "w") as handle:
-            for flat, label in pairs:
+            for m, label in pairs:
                 handle.write(json.dumps({
-                    "matrix": format_matrix(matrix_from_flat(flat)),
+                    "matrix": format_matrix(m),
                     "class": label}) + "\n")
     print("class,count")
     for label in LABELS:

@@ -314,15 +314,15 @@ def classify_fraction(c):
 
 # ---------------------------------------------------------------- sweeps
 
-def _sweep_chunk(flats, caps):
+def _sweep_chunk(matrices, caps):
     frob = 0
     undecided = []
-    for flat in flats:
-        verdict = decide_thm3(matrix_from_flat(flat), caps=caps)
+    for m in matrices:
+        verdict = decide_thm3(m, caps=caps)
         if verdict.status == "frobenius":
             frob += 1
         else:
-            undecided.append(flat)
+            undecided.append(m)
     return [(frob, undecided)]
 
 
@@ -335,37 +335,31 @@ def theorem1_sweep(norm_cap=6, workers=1, caps=Caps()):
     chunk = partial(_sweep_chunk, caps=caps)
     report = {}
     for n in range(norm_cap + 1):
-        flats = [m.flat() for m in matrices_in_class(3, n, (M_ONLY, HYPERBOLIC))]
-        if flats:
-            parts = parallel_map_chunked(chunk, flats, workers=workers,
-                                         chunk_size=128)
-            frob = sum(p[0] for p in parts)
-            undecided = [f for p in parts for f in p[1]]
-        else:
-            frob, undecided = 0, []
-        report[n] = {"matrices": len(flats), "frobenius": frob,
-                     "undecided": [format_matrix(matrix_from_flat(f))
-                                   for f in undecided]}
+        matrices = matrices_in_class(3, n, (M_ONLY, HYPERBOLIC))
+        parts = parallel_map_chunked(chunk, matrices, workers=workers,
+                                     chunk_size=128)
+        report[n] = {"matrices": len(matrices),
+                     "frobenius": sum(p[0] for p in parts),
+                     "undecided": [format_matrix(m) for p in parts for m in p[1]]}
     return report
 
 
-def _classify_chunk(flats):
+def _classify_chunk(matrices):
     counts = dict.fromkeys(LABELS, 0)
-    for flat in flats:
-        counts[classify_fraction(matrix_from_flat(flat))] += 1
+    for m in matrices:
+        counts[classify_fraction(m)] += 1
     return [counts]
 
 
 def classification_report(n, workers=1):
     """Label counts over all hyperbolic matrices of norm n."""
-    flats = [m.flat() for m in matrices_in_class(3, n, (HYPERBOLIC,))]
+    matrices = matrices_in_class(3, n, (HYPERBOLIC,))
     totals = dict.fromkeys(LABELS, 0)
-    if flats:
-        for part in parallel_map_chunked(_classify_chunk, flats,
-                                         workers=workers, chunk_size=64):
-            for label in LABELS:
-                totals[label] += part[label]
-    totals["matrices"] = len(flats)
+    for part in parallel_map_chunked(_classify_chunk, matrices,
+                                     workers=workers, chunk_size=64):
+        for label in LABELS:
+            totals[label] += part[label]
+    totals["matrices"] = len(matrices)
     return totals
 
 

@@ -42,6 +42,9 @@ class IntMat:
     def __setattr__(self, name, value):
         raise AttributeError("IntMat is immutable")
 
+    def __reduce__(self):
+        return IntMat._of, (self.rows,)
+
     @property
     def dim(self):
         return len(self.rows)

@@ -7,7 +7,9 @@ Three engines, in increasing specificity:
   value order 0 < 1 < -1 < 2 < -2 < ...), scanned by growing shells and
   numpy-vectorized when the coefficients fit int64, hits re-checked exactly;
 * modular_obstruction: the smallest modulus q where the form's residue set
-  misses both 1 and -1, which certifies unsolvability;
+  misses both 1 and -1, which certifies unsolvability.  Only prime powers
+  are scanned: for an odd form the smallest obstructing modulus is one.
+  Each residue set is one Horner pass over a numpy grid;
 * pell_decide: a decision for binary quadratics of positive nonsquare
   discriminant via the reduction cycle, capped at PELL_STEP_CAP steps.
   +-1 is represented exactly when it occurs among the leading coefficients
@@ -175,29 +177,57 @@ def search_box(coeffs, exponents, bound, targets=UNIT_TARGETS):
 
 @lru_cache(maxsize=65536)
 def _residues_mod(coeffs, exponents, q):
-    """All residues the form attains on (Z/q)^arity."""
-    coords = grid_coords(np.arange(q, dtype=np.int64), len(exponents[0]))
-    maxdeg = max(max(e) for e in exponents)
-    powers = []
-    for g in coords:
-        col = [np.ones_like(g)]
-        for _ in range(maxdeg):
-            col.append((col[-1] * g) % q)
-        powers.append(col)
-    total = np.zeros_like(coords[0])
-    for c, exps in zip(coeffs, exponents):
-        term = np.full_like(coords[0], c % q)
-        for gi, e in enumerate(exps):
-            if e:
-                term = (term * powers[gi][e]) % q
-        total = (total + term) % q
-    return frozenset(int(v) for v in np.unique(total))
+    """All residues the form attains on (Z/q)^arity.
+
+    The monomials are grouped by the exponent of the first variable into
+    coefficient tables over the other variables, reduced mod q after every
+    multiply; Horner's rule in the first variable then evaluates the whole
+    grid as one (q, q^(arity-1)) array, whose values are marked in a
+    length-q table.
+    """
+    rest = grid_coords(np.arange(q, dtype=np.int64), len(exponents[0]) - 1)
+    tables = [np.zeros_like(rest[0]) for _ in range(max(e[0] for e in exponents) + 1)]
+    for c, (e0, *exps) in zip(coeffs, exponents):
+        term = np.full_like(rest[0], c % q)
+        for g, e in zip(rest, exps):
+            for _ in range(e):
+                term = term * g % q
+        tables[e0] = (tables[e0] + term) % q
+    x = np.arange(q, dtype=np.int64)[:, None]
+    total = tables[-1][None, :]
+    for table in reversed(tables[:-1]):
+        total = (total * x + table) % q
+    seen = np.zeros(q, dtype=bool)
+    seen[total.ravel()] = True
+    return frozenset(np.flatnonzero(seen).tolist())
+
+
+def _is_prime_power(q):
+    p = _smallest_prime_factor(q)
+    while q % p == 0:
+        q //= p
+    return q == 1
 
 
 def modular_obstruction(coeffs, exponents, cap, targets=UNIT_TARGETS):
-    """Smallest q <= cap whose residue set avoids every target, or None."""
+    """Smallest q <= cap whose residue set avoids every target, or None.
+
+    Only prime powers q are scanned, and the answer is still the smallest
+    obstructing modulus.  By the Chinese remainder theorem the residue set
+    mod a coprime product q1*q2 is the product of the sets mod q1 and mod
+    q2, so a single target missed mod q1*q2 is already missed mod q1 or
+    mod q2.  For the targets {t, -t} this needs every residue set to be
+    closed under negation, which holds when every monomial has odd degree
+    (then F(-v) = -F(v)).  Other targets or forms raise ValueError.
+    """
     coeffs = tuple(int(c) for c in coeffs)
-    for q in range(2, cap + 1):
+    wanted = set(targets)
+    if len(wanted) > 1 and not (
+            len(wanted) == 2 and sum(wanted) == 0
+            and all(sum(e) % 2 for e in exponents)):
+        raise ValueError("the prime-power scan needs one target, or targets "
+                         "{t, -t} and a form of odd degree")
+    for q in filter(_is_prime_power, range(2, cap + 1)):
         got = _residues_mod(coeffs, exponents, q)
         if not any(t % q in got for t in targets):
             return Certificate(kind="modulus", modulus=q,

@@ -54,6 +54,17 @@ def test_frobenius_zero_caps_undecided(capsys):
     assert json.loads(out)["status"] == "undecided"
 
 
+def test_frobenius_full_caps_undecided(capsys):
+    # a complex cubic with no ternary witness in box 50 and no obstruction
+    # below 100: both engines run to their default caps
+    code, out, _ = run_cli(capsys, "frobenius", "--matrix", "0,0,1;2,0,0;-1,-3,0")
+    assert code == 3
+    doc = json.loads(out)
+    assert doc["status"] == "undecided"
+    assert doc["solvability"]["search_bound"] == 50
+    assert doc["solvability"]["modulus_cap"] == 100
+
+
 def test_frobenius_pell_step_cap_undecided(capsys):
     # the reduction walk of this form runs past its step cap
     code, out, _ = run_cli(capsys, "frobenius", "--matrix", "0,3;1000000000039,0")

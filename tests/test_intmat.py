@@ -1,3 +1,4 @@
+import pickle
 import random
 
 import pytest
@@ -49,6 +50,14 @@ def test_char_cubic_matches_det_at_small_points():
         assert c.evaluate(0) == m.det()
         for x in (1, -1, 2):
             assert c.evaluate(x) == (m - x * E3).det()
+
+
+def test_pickle_round_trip():
+    for m in (A42, IntMat([[1, -2], [3, 10 ** 30]])):
+        back = pickle.loads(pickle.dumps(m))
+        assert back == m and back.rows == m.rows and type(back) is IntMat
+        with pytest.raises(AttributeError):
+            back.rows = ()
 
 
 def test_adjugate_identity_and_diagonal():

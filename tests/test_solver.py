@@ -3,6 +3,7 @@
 import random
 from itertools import product
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,9 +13,10 @@ from cf3.forms import (BinaryCubicForm, BinaryQF, TernaryCubicForm,
                        evaluate_form, product_form, q2, q3)
 from cf3.intmat import IntMat, is_irreducible
 from cf3.solver import (_GRID_CACHE, BINARY_CUBIC_EXPONENTS, BINARY_QUAD_EXPONENTS,
-                        TERNARY_CUBIC_EXPONENTS, Caps, _grid, _rank,
-                        _search_box_python, decide_product, decide_quadratic,
-                        modular_obstruction, pell_decide, search_box)
+                        TERNARY_CUBIC_EXPONENTS, Caps, Certificate, _grid, _rank,
+                        _residues_mod, _search_box_python, decide_product,
+                        decide_quadratic, grid_coords, modular_obstruction,
+                        pell_decide, search_box)
 
 A42 = IntMat([[1, 2, 0], [0, 1, 2], [-7, 0, 29]])
 GOLDEN = IntMat([[0, 1, 0], [0, 0, 1], [1, 2, -1]])
@@ -145,6 +147,35 @@ def test_modular_obstruction_none_for_cube():
     assert modular_obstruction((1, 0, 0, 0), BINARY_CUBIC_EXPONENTS, 30) is None
 
 
+def _oracle_residues(coeffs, exponents, q):
+    """Residue set by evaluating every monomial on the full (Z/q)^arity grid."""
+    coords = grid_coords(np.arange(q, dtype=np.int64), len(exponents[0]))
+    maxdeg = max(max(e) for e in exponents)
+    powers = []
+    for g in coords:
+        col = [np.ones_like(g)]
+        for _ in range(maxdeg):
+            col.append((col[-1] * g) % q)
+        powers.append(col)
+    total = np.zeros_like(coords[0])
+    for c, exps in zip(coeffs, exponents):
+        term = np.full_like(coords[0], c % q)
+        for gi, e in enumerate(exps):
+            if e:
+                term = (term * powers[gi][e]) % q
+        total = (total + term) % q
+    return frozenset(int(v) for v in np.unique(total))
+
+
+def _oracle_obstruction(coeffs, exponents, cap, targets=(1, -1)):
+    """Smallest obstructing modulus by scanning every q <= cap."""
+    for q in range(2, cap + 1):
+        got = _oracle_residues(coeffs, exponents, q)
+        if not any(t % q in got for t in targets):
+            return Certificate(kind="modulus", modulus=q, residues=tuple(sorted(got)))
+    return None
+
+
 def test_residues_match_direct_enumeration():
     rng = random.Random(37)
     for _ in range(20):
@@ -157,8 +188,44 @@ def test_residues_match_direct_enumeration():
         # targets (q+5,) % q == 5; certificate exists iff 5 unattained
         if 5 % q in want:
             assert cert is None or cert.modulus != q
-        from cf3.solver import _residues_mod
         assert _residues_mod(coeffs, BINARY_QUAD_EXPONENTS, q) == frozenset(want)
+    for exponents in (BINARY_CUBIC_EXPONENTS, TERNARY_CUBIC_EXPONENTS):
+        for _ in range(20):
+            coeffs = tuple(rng.randint(-30, 30) for _ in exponents)
+            q = rng.randint(2, 13)
+            want = {evaluate_form(coeffs, exponents, point) % q
+                    for point in product(range(q), repeat=len(exponents[0]))}
+            assert _residues_mod(coeffs, exponents, q) == frozenset(want)
+
+
+def _cubics(exponents):
+    # All coefficients but at most three are multiples of a small modulus,
+    # so that obstructions (mod 2, 3, 4, 7, 9, 13, ...) are common.
+    n = len(exponents)
+    return st.tuples(st.sampled_from((2, 3, 4, 5, 7, 8, 9, 13)),
+                     st.lists(st.integers(-20, 20), min_size=n, max_size=n),
+                     st.sets(st.integers(0, n - 1), max_size=3)).map(
+        lambda t: tuple(c if i in t[2] else c * t[0] for i, c in enumerate(t[1])))
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(_cubics(BINARY_CUBIC_EXPONENTS))
+def test_prime_power_scan_matches_full_scan_binary(coeffs):
+    assert (modular_obstruction(coeffs, BINARY_CUBIC_EXPONENTS, 100)
+            == _oracle_obstruction(coeffs, BINARY_CUBIC_EXPONENTS, 100))
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(_cubics(TERNARY_CUBIC_EXPONENTS), st.integers(2, 40))
+def test_prime_power_scan_matches_full_scan_ternary(coeffs, cap):
+    assert (modular_obstruction(coeffs, TERNARY_CUBIC_EXPONENTS, cap)
+            == _oracle_obstruction(coeffs, TERNARY_CUBIC_EXPONENTS, cap))
+
+
+def test_prime_power_scan_rejects_even_form_with_two_targets():
+    # x^2 + y^2 is even, so its residue sets need not be closed under negation
+    with pytest.raises(ValueError):
+        modular_obstruction((1, 0, 1), BINARY_QUAD_EXPONENTS, 10, targets=(1, -1))
 
 
 # ---------------------------------------------------------------- quadratics
