@@ -40,7 +40,6 @@ from .commutant import (
 from .forms import (
     BinaryCubicForm,
     BinaryQF,
-    IntegralityError,
     ProductForm,
     TernaryCubicForm,
     product_form,
@@ -97,7 +96,7 @@ __all__ = [
     "CensusReport", "census", "census_records", "matrices_in_class",
     "CommutantBasis", "CommutantError", "basis_from_pair", "commutant_basis",
     "commutant_lattice", "express_in_powers", "power_basis_index",
-    "BinaryCubicForm", "BinaryQF", "IntegralityError", "ProductForm",
+    "BinaryCubicForm", "BinaryQF", "ProductForm",
     "TernaryCubicForm", "product_form", "q2", "q3",
     "Caps", "Certificate", "Solvability", "decide_product", "decide_quadratic",
     "modular_obstruction", "pell_decide", "search_box",

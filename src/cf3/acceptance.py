@@ -67,7 +67,7 @@ def claim_census_counts(workers=1, caps=Caps(), seed=SEED):
     parts = []
     ok = True
     for n in sorted(CENSUS_EXPECTED):
-        rep = census(n, dim=3, workers=workers)
+        rep = census(n, dim=3)
         ok = ok and (rep.count_m, rep.count_h) == CENSUS_EXPECTED[n]
         parts.append("norm %d: M %d H %d" % (n, rep.count_m, rep.count_h))
     return ok, False, "; ".join(parts)
@@ -129,7 +129,9 @@ def claim_counterexample(workers=1, caps=Caps(), seed=SEED):
     pf = q3(a, basis=basis)
     checks["binary_primitive"] = pf.mn_primitive == COUNTEREXAMPLE_BINARY
     checks["ternary_primitive"] = pf.xyz_primitive == COUNTEREXAMPLE_TERNARY
-    checks["scalings_cancel"] = abs(pf.scaling_product) == 1 and pf.content == 1
+    checks["factors_unscaled"] = (pf.cubic_mn.as_tuple() == COUNTEREXAMPLE_BINARY
+                                  and pf.cubic_xyz.coeffs == COUNTEREXAMPLE_TERNARY
+                                  and pf.content == 1)
     failed = sorted(name for name, good in checks.items() if not good)
     if failed:
         return False, False, "structural checks failed: " + ", ".join(failed)

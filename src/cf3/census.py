@@ -144,13 +144,11 @@ class CensusReport:
         assert 0 <= self.count_h <= self.count_m <= self.total
 
 
-def census(n, dim=3, cap=DEFAULT_NORM_CAP, workers=1):
+def census(n, dim=3, cap=DEFAULT_NORM_CAP):
     """Counts of irreducible and hyperbolic matrices at norm exactly n.
 
     The cap guards against accidental huge runs (the norm-8 sphere in Z^9
     already has ~1.7 million points); raise it explicitly to go further.
-    The pass is serial at any ``workers``: it runs one exact test per
-    distinct characteristic polynomial, which leaves nothing to share out.
     """
     if n > cap:
         raise ValueError(

@@ -79,8 +79,7 @@ def _run_census(config):
             print(json.dumps({"matrix": format_matrix(m),
                               "norm": matrix_norm(m), "class": tag}))
         return 0
-    rep = census(config.norm, dim=config.dim, cap=config.norm,
-                 workers=config.workers)
+    rep = census(config.norm, dim=config.dim, cap=config.norm)
     print("norm,count_M,count_H")
     print("%d,%d,%d" % (rep.norm, rep.count_m, rep.count_h))
     return 0
@@ -118,19 +117,18 @@ def _run_forms(config):
     document = {"matrix": format_matrix(m)}
     if config.factor in ("mn", "product"):
         document["binary_cubic"] = {
-            "coefficients": [str(c) for c in pf.cubic_mn.as_tuple()],
+            "coefficients": list(pf.cubic_mn.as_tuple()),
             "primitive": list(pf.mn_primitive),
-            "scale": str(pf.mn_scale),
+            "content": pf.mn_content,
         }
     if config.factor in ("xyz", "product"):
         document["ternary_cubic"] = {
             "monomials": list(MONOMIALS),
-            "coefficients": [str(c) for c in pf.cubic_xyz.coeffs],
+            "coefficients": list(pf.cubic_xyz.coeffs),
             "primitive": list(pf.xyz_primitive),
-            "scale": str(pf.xyz_scale),
+            "content": pf.xyz_content,
         }
     if config.factor == "product":
-        document["scaling_product"] = str(pf.scaling_product)
         document["content"] = pf.content
     _dump(document)
     return 0

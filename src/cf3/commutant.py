@@ -133,15 +133,18 @@ def commutant_basis(c):
 def basis_from_pair(c, a, b):
     """CommutantBasis for an explicitly chosen (A, B) pair.
 
-    Used to evaluate decisions under a different valid basis; callers are
-    responsible for (E, A, B) actually spanning the commutant lattice, but
-    commutation with C is checked here.
+    Used to evaluate decisions under a different valid basis.  A and B must
+    commute with C, E, A, A^2 must be independent, and (E, A, B) must span
+    the whole commutant lattice, not a sublattice of it: each is checked.
     """
     zero = IntMat.zero(c.dim)
     if a @ c - c @ a != zero or b @ c - c @ b != zero:
         raise CommutantError("basis members must commute with C")
     basis = CommutantBasis(c=c, a=a, b=b)
     basis.powers  # noqa: B018  - raises CommutantError eagerly
+    spanned, canonical = normalize_basis(basis.members(), c), commutant_basis(c)
+    if (spanned.a, spanned.b) != (canonical.a, canonical.b):
+        raise CommutantError("(E, A, B) spans a proper sublattice of the commutant")
     return basis
 
 

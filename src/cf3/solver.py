@@ -374,12 +374,12 @@ def decide_product(pf, caps=Caps()):
             witness = factors[1][3][0] + factors[0][3][0]
             value = pf.evaluate(*witness[:3], *witness[3:])
             assert abs(value) == 1
-            return Solvability("solvable", witness=witness, value=int(value),
+            return Solvability("solvable", witness=witness, value=value,
                                search_bound=box)
     for fac in factors:
         if fac[3] is not None:
             continue
-        cert = modular_obstruction(tuple(int(v) for v in fac[0]), fac[1], cap)
+        cert = modular_obstruction(fac[0], fac[1], cap)
         if cert is not None:
             return Solvability("unsolvable", certificate=replace(cert, detail=fac[2]),
                                search_bound=box, modulus_cap=cap)

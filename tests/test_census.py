@@ -159,12 +159,6 @@ def test_census_transpose_invariance():
         assert (cm, ch) == (r.count_m, r.count_h)
 
 
-def test_census_parallel_matches_serial():
-    serial = census(5, workers=1)
-    for workers in (4, 8):
-        assert census(5, workers=workers) == serial
-
-
 def test_census_cap():
     with pytest.raises(ValueError):
         census(DEFAULT_NORM_CAP + 1)

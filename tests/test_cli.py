@@ -4,7 +4,6 @@ import functools
 import json
 import subprocess
 import sys
-from fractions import Fraction
 
 from cf3 import roots, sail
 from cf3.cli import main
@@ -107,12 +106,16 @@ def test_forms_product_schema(capsys):
     assert len(doc["binary_cubic"]["primitive"]) == 4
     assert len(doc["ternary_cubic"]["primitive"]) == 10
     assert len(doc["ternary_cubic"]["monomials"]) == 10
-    content = doc["content"]
-    scaling = Fraction(doc["scaling_product"])
-    assert content >= 1 and abs(scaling) == Fraction(1, content)
-    # every serialized rational parses exactly
-    for text in doc["binary_cubic"]["coefficients"]:
-        Fraction(text)
+    assert "scaling_product" not in doc
+    # each factor's coefficients are its signed content times its primitive
+    # part; on the canonical basis of the norm-42 matrix both contents are 1
+    for key in ("binary_cubic", "ternary_cubic"):
+        factor = doc[key]
+        assert "scale" not in factor
+        assert factor["coefficients"] == [factor["content"] * v for v in factor["primitive"]]
+        assert factor["content"] == 1
+    assert doc["binary_cubic"]["coefficients"] == [2, 56, 392, 7]
+    assert doc["content"] == 1
 
 
 def test_classify_norm5(capsys, tmp_path):

@@ -159,6 +159,17 @@ def test_basis_from_pair_checks_commutation():
     assert (nb.alpha, nb.beta, nb.gamma) == (Fraction(1, 2), Fraction(-15), Fraction(29, 2))
 
 
+def test_basis_from_pair_rejects_a_proper_sublattice():
+    # C is itself a Frobenius matrix, but (E, 2C, C^2) spans an index-2
+    # sublattice of its commutant: the pair used to pass and decide_thm3
+    # then refuted C with a content-2 certificate
+    c = parse_matrix("0,1,0;0,0,1;1,1,1")
+    with pytest.raises(CommutantError, match="proper sublattice"):
+        basis_from_pair(c, 2 * c, c @ c)
+    nb = basis_from_pair(c, c + 5 * E3, c @ c - c)
+    assert nb.members()[1:] == (c + 5 * E3, c @ c - c)
+
+
 def test_power_coefficients_are_solved_on_first_read(monkeypatch):
     calls = []
 

@@ -1,4 +1,10 @@
-"""Forms: the binary quadratic, the two cubic factors, and their product."""
+"""Forms: the binary quadratic, the two cubic factors, and their product.
+
+The paper's formulas for the two cubic factors, p_bar(m, n) from chi_A and
+(alpha, beta) and p_tilde(x, y, z) from bracket sums of A and adj A, live
+here as oracles: the index form I and the cyclic-vector form V that q3
+builds satisfy I*V == p_bar*p_tilde coefficient for coefficient.
+"""
 
 import random
 from fractions import Fraction
@@ -9,11 +15,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cf3.census import matrices_in_class
-from cf3.commutant import basis_from_pair, commutant_basis
-from cf3.forms import (BinaryCubicForm, BinaryQF, IntegralityError, MONOMIALS,
-                       P_TILDE_TABLE, TernaryCubicForm, _primitive_scaled,
-                       bracket, p_bar, p_tilde, product_form, q2, q3)
-from cf3.intmat import CharCubic, IntMat, adjugate, char_cubic, is_irreducible
+from cf3.commutant import CommutantError, basis_from_pair, commutant_basis
+from cf3.forms import (MONOMIALS, BinaryCubicForm, TernaryCubicForm, _primitive,
+                       cyclic_form, index_form, product_form, q2, q3)
+from cf3.intmat import IntMat, adjugate, char_cubic, is_irreducible
+from cf3.zlinalg import coords_in_basis
 
 
 def rand_mat(rng, dim=3, lo=-5, hi=5):
@@ -73,39 +79,11 @@ def test_q2_primitive_and_nonsquare_disc():
         assert not (d > 0 and is_square(d))
 
 
-# ---------------------------------------------------------------- binary cubic
-
-def test_p_bar_golden():
-    basis = basis_from_pair(A42, A42, b42())
-    assert (basis.alpha, basis.beta) == (Fraction(1, 2), -15)
-    f = p_bar(char_cubic(A42), basis.alpha, basis.beta)
-    assert f.as_tuple() == (1, -14, 0, Fraction(7, 2))
-    prim, scale = f.primitive()
-    assert prim == (2, -28, 0, 7)
-    assert scale == 2
-
-
-def test_p_bar_alpha_zero_is_a_cube():
-    rng = random.Random(11)
-    for _ in range(100):
-        chi = char_cubic(rand_mat(rng))
-        beta = Fraction(rng.randint(-9, 9), rng.randint(1, 6))
-        f = p_bar(chi, 0, beta)
-        assert f.as_tuple() == (1, 3 * beta, 3 * beta ** 2, beta ** 3)
-        for m in range(-3, 4):
-            for n in range(-3, 4):
-                assert f.evaluate(m, n) == (m + beta * n) ** 3
-
-
-def test_binary_cubic_primitive_rejects_zero():
-    with pytest.raises(ValueError):
-        BinaryCubicForm(Fraction(0), Fraction(0), Fraction(0), Fraction(0)).primitive()
-    with pytest.raises(ValueError):
-        _primitive_scaled((0, 0, 0, 0), 5)
-
+# ---------------------------------------------------------------- the paper's oracles
 
 def oracle_p_bar(chi, alpha, beta):
-    # the coefficients computed in Fraction arithmetic, term by term
+    # the paper's binary cubic of chi_A and B = alpha*A^2 + beta*A + gamma*E,
+    # computed in Fraction arithmetic, term by term
     a1, a2, a3 = chi.as_tuple()
     alpha = Fraction(alpha)
     beta = Fraction(beta)
@@ -116,8 +94,58 @@ def oracle_p_bar(chi, alpha, beta):
     return (Fraction(1), c21, c12, c03)
 
 
+def bracket(a, b, ij, kl):
+    """a_ij * b_kl - a_kl * b_ij with 1-based index pairs."""
+    i, j = ij
+    k, l = kl
+    for idx in (i, j, k, l):
+        if not 1 <= idx <= 3:
+            raise ValueError("bracket indices must be in 1..3")
+    return (a.rows[i - 1][j - 1] * b.rows[k - 1][l - 1]
+            - a.rows[k - 1][l - 1] * b.rows[i - 1][j - 1])
+
+
+def _cycle_pair(pair):
+    # index substitution 1 -> 2 -> 3 -> 1 on one (i, j) pair
+    i, j = pair
+    return (i % 3 + 1, j % 3 + 1)
+
+
+def _build_p_tilde_table():
+    # three seed monomial groups and their images under the cyclic
+    # substitution x -> y -> z -> x, which the coefficient groups respect;
+    # the xyz group is the one exception, with its tripled term
+    seeds = {
+        "x3": (((1, 2), (1, 3), 1),),
+        "x2y": (((1, 3), (1, 1), 1), ((2, 2), (1, 3), 1), ((1, 2), (2, 3), 1)),
+        "xy2": (((2, 2), (2, 3), 1), ((2, 3), (1, 1), 1), ((1, 3), (2, 1), 1)),
+    }
+    table = {}
+    for seed, orbit in (("x3", ("y3", "z3")),
+                        ("x2y", ("y2z", "xz2")),
+                        ("xy2", ("yz2", "x2z"))):
+        group = seeds[seed]
+        table[seed] = group
+        for name in orbit:
+            group = tuple((_cycle_pair(ij), _cycle_pair(kl), mult) for ij, kl, mult in group)
+            table[name] = group
+    table["xyz"] = (((1, 1), (2, 2), 1), ((2, 2), (3, 3), 1), ((3, 3), (1, 1), 1),
+                    ((1, 3), (3, 1), 3))
+    return table
+
+
+P_TILDE_TABLE = _build_p_tilde_table()
+
+
+def p_tilde(a, b):
+    """The paper's ternary cubic of bracket sums between a and b."""
+    return tuple(sum(mult * bracket(a, b, ij, kl) for ij, kl, mult in P_TILDE_TABLE[name])
+                 for name in MONOMIALS)
+
+
 def oracle_primitive(coeffs):
-    # clear the denominators, divide out the content, sign by the leading entry
+    # clear the denominators, divide out the content, sign by the leading
+    # entry; returns the primitive tuple and the rational content
     coeffs = tuple(Fraction(c) for c in coeffs)
     denom = lcm(*[c.denominator for c in coeffs])
     ints = [int(c * denom) for c in coeffs]
@@ -125,45 +153,30 @@ def oracle_primitive(coeffs):
     for v in ints:
         g = gcd(g, abs(v))
     ints = [v // g for v in ints]
-    scale = Fraction(denom, g)
+    content = Fraction(g, denom)
     if next(v for v in ints if v != 0) < 0:
         ints = [-v for v in ints]
-        scale = -scale
-    return tuple(ints), scale
+        content = -content
+    return tuple(ints), content
 
 
-RATIONALS = st.builds(Fraction, st.integers(-40, 40), st.integers(1, 12))
+def paper_forms(basis):
+    """(p_bar, p_tilde) of a commutant basis, by the paper's formulas."""
+    return (oracle_p_bar(char_cubic(basis.a), basis.alpha, basis.beta),
+            p_tilde(basis.a, adjugate(basis.a)))
 
 
-@settings(derandomize=True, max_examples=300, deadline=None)
-@given(st.integers(-30, 30), st.integers(-30, 30), st.integers(-30, 30),
-       RATIONALS, RATIONALS)
-def test_p_bar_matches_fraction_oracle(a1, a2, a3, alpha, beta):
-    chi = CharCubic(a1, a2, a3)
-    f = p_bar(chi, alpha, beta)
-    want = oracle_p_bar(chi, alpha, beta)
-    assert f.as_tuple() == want
-    assert all(type(c) is Fraction for c in f.as_tuple())
-    prim, scale = f.primitive()
-    assert (prim, scale) == oracle_primitive(want)
-    assert tuple(scale * c for c in want) == prim
+def test_p_bar_alpha_zero_is_a_cube():
+    rng = random.Random(11)
+    for _ in range(100):
+        chi = char_cubic(rand_mat(rng))
+        beta = Fraction(rng.randint(-9, 9), rng.randint(1, 6))
+        f = oracle_p_bar(chi, 0, beta)
+        assert f == (1, 3 * beta, 3 * beta ** 2, beta ** 3)
+        for m in range(-3, 4):
+            for n in range(-3, 4):
+                assert sum(c * m ** (3 - k) * n ** k for k, c in enumerate(f)) == (m + beta * n) ** 3
 
-
-@settings(derandomize=True, max_examples=200, deadline=None)
-@given(st.lists(st.integers(-50, 50), min_size=10, max_size=10).filter(any))
-def test_ternary_primitive_matches_fraction_oracle(coeffs):
-    assert TernaryCubicForm(tuple(coeffs)).primitive() == oracle_primitive(coeffs)
-
-
-def test_binary_cubic_primitive_sign_and_scale():
-    f = BinaryCubicForm(Fraction(-2, 3), Fraction(4), Fraction(0), Fraction(-8, 3))
-    prim, scale = f.primitive()
-    assert prim == (1, -6, 0, 4)
-    assert scale == Fraction(-3, 2)
-    assert tuple(scale * c for c in f.as_tuple()) == prim
-
-
-# ---------------------------------------------------------------- brackets
 
 def test_bracket_antisymmetry_and_diagonal():
     rng = random.Random(13)
@@ -181,31 +194,20 @@ def test_bracket_index_validation():
         bracket(A42, A42, (0, 1), (1, 2))
 
 
-def test_p_tilde_matches_bracket_sums():
-    rng = random.Random(29)
-    for _ in range(200):
-        a, b = rand_mat(rng, lo=-50, hi=50), rand_mat(rng, lo=-50, hi=50)
-        want = tuple(sum(mult * bracket(a, b, ij, kl) for ij, kl, mult in P_TILDE_TABLE[name])
-                     for name in MONOMIALS)
-        assert p_tilde(a, b).coeffs == want
-
-
 def test_p_tilde_vanishes_on_equal_arguments_and_is_antisymmetric():
     rng = random.Random(17)
     for _ in range(50):
         a, b = rand_mat(rng), rand_mat(rng)
-        assert p_tilde(a, a).is_zero()
-        pab, pba = p_tilde(a, b), p_tilde(b, a)
-        assert pab.coeffs == tuple(-c for c in pba.coeffs)
+        assert not any(p_tilde(a, a))
+        assert p_tilde(a, b) == tuple(-c for c in p_tilde(b, a))
 
 
 def test_p_tilde_additive_in_each_argument():
     rng = random.Random(19)
     for _ in range(50):
         a, b1, b2 = rand_mat(rng), rand_mat(rng), rand_mat(rng)
-        left = p_tilde(a, b1 + b2).coeffs
-        right = tuple(x + y for x, y in zip(p_tilde(a, b1).coeffs,
-                                            p_tilde(a, b2).coeffs))
+        left = p_tilde(a, b1 + b2)
+        right = tuple(x + y for x, y in zip(p_tilde(a, b1), p_tilde(a, b2)))
         assert left == right
 
 
@@ -245,6 +247,29 @@ def test_p_tilde_table_matches_hand_transcription():
         assert sorted(P_TILDE_TABLE[name]) == sorted(literal[name]), name
 
 
+# ---------------------------------------------------------------- integer cubics
+
+def test_binary_cubic_primitive_rejects_zero():
+    with pytest.raises(ValueError):
+        BinaryCubicForm(0, 0, 0, 0).primitive()
+    with pytest.raises(ValueError):
+        _primitive((0,) * 10)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(st.lists(st.integers(-50, 50), min_size=10, max_size=10).filter(any))
+def test_ternary_primitive_matches_fraction_oracle(coeffs):
+    assert TernaryCubicForm(tuple(coeffs)).primitive() == oracle_primitive(coeffs)
+
+
+def test_binary_cubic_primitive_sign_and_scale():
+    f = BinaryCubicForm(-2, 12, 0, -8)
+    prim, content = f.primitive()
+    assert prim == (1, -6, 0, 4)
+    assert content == -2
+    assert tuple(content * c for c in prim) == f.as_tuple()
+
+
 def test_ternary_coeff_lookup_and_evaluate():
     f = TernaryCubicForm(tuple(range(1, 11)))
     assert f.coeff("x3") == 1
@@ -256,33 +281,71 @@ def test_ternary_coeff_lookup_and_evaluate():
     assert f.evaluate(1, 1, 1) == sum(range(1, 11))
 
 
+def test_cyclic_form_is_the_determinant_of_v_va_vb():
+    rng = random.Random(29)
+    for _ in range(100):
+        a, b = rand_mat(rng, lo=-50, hi=50), rand_mat(rng, lo=-50, hi=50)
+        f = cyclic_form(a, b)
+        for _ in range(5):
+            v = IntMat([[rng.randint(-9, 9) for _ in range(3)], [0, 0, 0], [0, 0, 0]])
+            va, vb = v @ a, v @ b
+            rows = IntMat([v.rows[0], va.rows[0], vb.rows[0]])
+            assert f.evaluate(*v.rows[0]) == rows.det()
+
+
+def test_index_form_is_the_index_of_z_theta():
+    # |I(m, n)| == [O : Z[theta]] for theta = m*A + n*B: the determinant of
+    # (E, theta, theta^2) in the coordinates of the row-echelon (E, A, B)
+    rng = random.Random(31)
+    for _ in range(40):
+        c = rand_irreducible(rng)
+        basis = commutant_basis(c)
+        f = index_form(basis.a, basis.b)
+        coords = [x.flat() for x in basis.members()]
+        for m, n in ((1, 0), (0, 1), (2, -1), (3, 5)):
+            theta = m * basis.a + n * basis.b
+            rows = [[1, 0, 0], [0, m, n], coords_in_basis(coords, (theta @ theta).flat())]
+            assert abs(f.evaluate(m, n)) == abs(IntMat(rows).det())
+
+
+def test_index_form_rejects_a_pair_that_is_not_closed():
+    # Z*E + Z*C + Z*2C^2 is no order: C * C = C^2 is half a basis member
+    c = IntMat([[0, 1, 0], [0, 0, 1], [1, 1, 1]])
+    with pytest.raises(CommutantError, match="not closed"):
+        index_form(c, 2 * (c @ c))
+    with pytest.raises(CommutantError, match="dependent"):
+        index_form(c, 3 * c + IntMat.identity(3))
+
+
 # ---------------------------------------------------------------- golden product
 
 F2_DISPLAY = (4, -14, 49, 56, 0, 784, 392, -196, 0, 42)
 
 
+def test_p_bar_golden():
+    basis = basis_from_pair(A42, A42, b42())
+    assert (basis.alpha, basis.beta) == (Fraction(1, 2), -15)
+    f = oracle_p_bar(char_cubic(A42), basis.alpha, basis.beta)
+    assert f == (1, -14, 0, Fraction(7, 2))
+    assert oracle_primitive(f) == ((2, -28, 0, 7), Fraction(1, 2))
+    assert index_form(basis.a, basis.b).as_tuple() == (2, -28, 0, 7)
+
+
 def test_p_tilde_golden_counterexample():
     raw = p_tilde(A42, adjugate(A42))
-    assert raw.coeffs == tuple(2 * c for c in F2_DISPLAY)
-    prim, scale = raw.primitive()
-    assert prim == F2_DISPLAY
-    assert scale == Fraction(1, 2)
+    assert raw == tuple(2 * c for c in F2_DISPLAY)
+    assert oracle_primitive(raw) == (F2_DISPLAY, 2)
+    assert cyclic_form(A42, b42()).coeffs == F2_DISPLAY
 
 
 def test_q3_golden_product_and_scaling():
+    # on the paper's pair both integer factors are already primitive: the
+    # index form is 2*p_bar and the cyclic-vector form is p_tilde/2
     pf = q3(A42, basis=basis_from_pair(A42, A42, b42()))
-    assert pf.mn_primitive == (2, -28, 0, 7)
-    assert pf.mn_scale == 2
-    assert pf.xyz_primitive == F2_DISPLAY
-    assert pf.xyz_scale == Fraction(1, 2)
-    assert pf.scaling_product == 1
-    assert pf.content == 1
-    # the unscaled product equals the displayed product exactly
-    # (global sign +1): compare all pairwise coefficient products
-    f1 = (2, -28, 0, 7)
-    for i, cm in enumerate(pf.cubic_mn.as_tuple()):
-        for j, cx in enumerate(pf.cubic_xyz.coeffs):
-            assert cm * cx == Fraction(f1[i] * F2_DISPLAY[j]), (i, j)
+    assert pf.cubic_mn.as_tuple() == pf.mn_primitive == (2, -28, 0, 7)
+    assert pf.cubic_xyz.coeffs == pf.xyz_primitive == F2_DISPLAY
+    assert (pf.mn_content, pf.xyz_content, pf.content) == (1, 1, 1)
+    assert pf.evaluate(1, 0, 0, 1, 0) == 2 * 4
 
 
 def test_q3_canonical_basis_agrees_with_supplied_basis_up_to_unit_values():
@@ -301,12 +364,14 @@ def test_q3_canonical_basis_agrees_with_supplied_basis_up_to_unit_values():
 
 
 def test_product_form_integrality_guard():
-    bad = BinaryCubicForm(Fraction(1), Fraction(1, 3), Fraction(0), Fraction(0))
-    tern = TernaryCubicForm((1, 0, 0, 0, 0, 0, 0, 0, 0, 1))
-    with pytest.raises(IntegralityError):
-        product_form(bad, tern)
-    with pytest.raises(IntegralityError):
-        product_form(bad, TernaryCubicForm((0,) * 10))
+    # a product of two integer forms is integral; its content is the product
+    # of the factors' contents (Gauss's lemma), and a zero factor is refused
+    pf = product_form(BinaryCubicForm(2, 0, 4, -6), TernaryCubicForm((-3,) + (0,) * 8 + (9,)))
+    assert (pf.mn_primitive, pf.mn_content) == ((1, 0, 2, -3), 2)
+    assert (pf.xyz_primitive, pf.xyz_content) == ((1,) + (0,) * 8 + (-3,), -3)
+    assert pf.content == 6
+    with pytest.raises(ValueError):
+        product_form(BinaryCubicForm(1, 0, 0, 0), TernaryCubicForm((0,) * 10))
 
 
 def test_q3_integral_over_small_census():
@@ -314,3 +379,32 @@ def test_q3_integral_over_small_census():
     assert len(mats) == 240
     for m in mats:
         assert q3(m).content >= 1
+
+
+# ---------------------------------------------------------------- I * V == p_bar * p_tilde
+
+# unimodular changes (p, q; r, s) of the pair (A, B)
+UNIMODULAR = [((1, 0), (0, 1)), ((0, 1), (1, 0)), ((1, 1), (0, 1)), ((1, 0), (-2, 1)),
+              ((2, 1), (1, 1)), ((-1, 3), (0, 1)), ((3, 2), (4, 3)), ((1, -1), (-3, 4))]
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(st.integers(0, 2**32), st.sampled_from(UNIMODULAR),
+       st.integers(-50, 50), st.integers(-50, 50), st.booleans())
+def test_index_times_cyclic_equals_paper_product(seed, change, u, w, canonical):
+    c = rand_irreducible(random.Random(seed), lo=-1000, hi=1000)
+    basis = commutant_basis(c)
+    if not canonical:
+        (p, q), (r, s) = change
+        e = IntMat.identity(3)
+        basis = basis_from_pair(c, p * basis.a + q * basis.b + u * e,
+                                r * basis.a + s * basis.b + w * e)
+    pf = q3(c, basis=basis)
+    p_bar, p_til = paper_forms(basis)
+    # the unscaled products agree, sign included
+    for cm, pm in zip(pf.cubic_mn.as_tuple(), p_bar):
+        for cx, px in zip(pf.cubic_xyz.coeffs, p_til):
+            assert cm * cx == pm * px
+    (bar_prim, bar_content), (til_prim, til_content) = map(oracle_primitive, (p_bar, p_til))
+    assert (pf.mn_primitive, pf.xyz_primitive) == (bar_prim, til_prim)
+    assert pf.content == abs(bar_content * til_content)

@@ -349,11 +349,8 @@ def test_product_solvable_for_plainly_frobenius_matrix():
 
 
 def test_product_content_certificate():
-    from fractions import Fraction
-    pf = product_form(BinaryCubicForm(Fraction(1), Fraction(0), Fraction(0),
-                                      Fraction(0)),
-                      TernaryCubicForm((2,) + (0,) * 9))
-    assert pf.content == 2
+    pf = product_form(BinaryCubicForm(1, 0, 0, 0), TernaryCubicForm((-2,) + (0,) * 9))
+    assert (pf.mn_content, pf.xyz_content, pf.content) == (1, -2, 2)
     r = decide_product(pf)
     assert r.verdict == "unsolvable"
     assert r.certificate.modulus == 2
