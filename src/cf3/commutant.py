@@ -25,7 +25,8 @@ from .intmat import IntMat, is_irreducible
 # solve_unique has no caller here; the benchmark's tracer wraps it by this name
 from .zlinalg import coords_in_basis, hnf_basis, solve_unique  # noqa: F401
 
-_E_FLAT = (1, 0, 0, 0, 1, 0, 0, 0, 1)
+_E = IntMat.identity(3)
+_E_FLAT = _E.flat()
 
 
 class CommutantError(ValueError):
@@ -62,7 +63,7 @@ class CommutantBasis:
 
     @property
     def e(self):
-        return IntMat.identity(self.c.dim)
+        return _E
 
     def members(self):
         return (self.e, self.a, self.b)

@@ -250,8 +250,10 @@ def q3(c, basis=None):
     of its commutant order times the order's cyclic-vector form.
 
     A commutant basis (E, A, B) is computed canonically unless an explicit
-    one is supplied.
+    one is supplied; a basis of another matrix raises CommutantError.
     """
     if basis is None:
         basis = commutant_basis(c)
+    elif basis.c != c:
+        raise CommutantError("the basis is the commutant basis of another matrix")
     return product_form(index_form(basis.a, basis.b), cyclic_form(basis.a, basis.b))

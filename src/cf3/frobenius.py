@@ -21,9 +21,10 @@ with char(Y) = char(R) is conjugate to R.  The search is exact:
   Q(v, w) = T by the trace form Q, a positive definite binary quadratic
   form, of the integer T that char(R) fixes (u is pinned by the trace);
   those with char(Y) = char(R) are kept;
-* for each Y the intertwiner lattice {X : XY = RX} has rank 3 and the
-  determinant of a general element is an integer ternary cubic, expanded
-  exactly by multilinearity;
+* R is multiplication by x on Q[x]/(chi) in the basis 1, x, x^2, so the
+  integer solutions of XY = RX are exactly X = [v; vY; vY^2] for v in Z^3
+  (Latimer-MacDuffee-Taussky), and det X is the cyclic-vector form
+  det[v; vY; vY^2] of the pair (Y, Y^2), an integer ternary cubic;
 * a unimodular point of that cubic (a -1 is absorbed by negating X, the
   dimension being odd) yields the conjugator, which is then verified.
 
@@ -41,14 +42,16 @@ from math import gcd, isqrt
 from .census import (HYPERBOLIC, M_ONLY, REDUCIBLE, classify_matrix,
                      matrices_in_class, matrix_from_flat, sphere_size)
 from .commutant import commutant_basis
-from .forms import det_form, q2, q3
+from .forms import cyclic_form, q2, q3
+from .forms import det_form  # noqa: F401  - traced name, no caller here
 from .intmat import (IntMat, adjugate, char_cubic, format_matrix,
                      is_irreducible, is_square)
 from .parallel import parallel_map_chunked
 from .solver import (TERNARY_CUBIC_EXPONENTS, Caps, _rank, decide_product,
                      decide_quadratic, search_box)
 from .solver import BOX_LADDER  # re-exported: the default 3x3 search ladder
-from .zlinalg import hnf_basis, right_kernel, xgcd
+from .zlinalg import xgcd
+from .zlinalg import hnf_basis  # noqa: F401  - traced name, no caller here
 
 CLASSIFY_DET_BOXES = (6, 12, 24)
 
@@ -202,18 +205,22 @@ def _commutant_fiber(basis, chi_r):
     chi_r (at most three exist: the conjugates of a root), sorted by (v, w).
 
     With y = uE + vA + wB the trace pins u, and tr(y0^2) for the traceless
-    part y0 = v*A0 + w*B0 is the binary form Q(v, w) = qa v^2 + 2qb vw + qc w^2
-    built from the trace form.  chi_r fixes that trace at T = 6 a1^2 - 18 a2,
-    so the candidates are the representations Q(v, w) = T.  The trace form
-    is positive definite on a totally real field, so there are finitely many:
+    part y0 = v*A0 + w*B0 (A0 = 3A - tr(A)E, B0 = 3B - tr(B)E) is the binary
+    form Q(v, w) = qa v^2 + 2qb vw + qc w^2 with qa = 9 tr(A^2) - 3 tr(A)^2,
+    qb = 9 tr(AB) - 3 tr(A) tr(B) and qc = 9 tr(B^2) - 3 tr(B)^2.  chi_r fixes
+    that trace at T = 6 a1^2 - 18 a2, so the candidates are the
+    representations Q(v, w) = T.  The trace form is positive definite on a
+    totally real field, so there are finitely many:
     qa Q = (qa v + qb w)^2 + D w^2 with D = qa qc - qb^2 > 0.
     """
-    a0, b0 = (3 * x - x.trace() * basis.e for x in (basis.a, basis.b))
-    qa, qb, qc = (a0 @ a0).trace(), (a0 @ b0).trace(), (b0 @ b0).trace()
+    a, b = basis.a, basis.b
+    tr_a, tr_b = a.trace(), b.trace()
+    qa = 9 * (a @ a).trace() - 3 * tr_a * tr_a
+    qb = 9 * (a @ b).trace() - 3 * tr_a * tr_b
+    qc = 9 * (b @ b).trace() - 3 * tr_b * tr_b
     d = qa * qc - qb * qb
     assert qa > 0 and d > 0, "indefinite trace form: c is not totally real"
     target = qa * (6 * chi_r.a1 ** 2 - 18 * chi_r.a2)
-    tr_a, tr_b = basis.a.trace(), basis.b.trace()
     wmax = isqrt(target // d)
     out = []
     for w in range(-wmax, wmax + 1):
@@ -228,30 +235,10 @@ def _commutant_fiber(basis, chi_r):
             u, rem = divmod(chi_r.a1 - v * tr_a - w * tr_b, 3)
             if rem:
                 continue
-            y = u * basis.e + v * basis.a + w * basis.b
+            y = u * basis.e + v * a + w * b
             if char_cubic(y) == chi_r:
                 out.append((v, w, y))
     return [y for _, _, y in sorted(out, key=lambda t: t[:2])]
-
-
-def _intertwiner_basis(y, r):
-    """Canonical basis of the rank-3 lattice {X : X y = r X}."""
-    rows = []
-    for i in range(3):
-        for j in range(3):
-            row = [0] * 9
-            for p in range(3):
-                for q_ in range(3):
-                    coef = 0
-                    if p == i:
-                        coef += y.rows[q_][j]
-                    if q_ == j:
-                        coef -= r.rows[i][p]
-                    row[3 * p + q_] = coef
-            rows.append(row)
-    kern = hnf_basis(right_kernel(rows))
-    assert len(kern) == 3
-    return [IntMat([vec[0:3], vec[3:6], vec[6:9]]) for vec in kern]
 
 
 def conjugate_commuting(basis, r):
@@ -260,25 +247,25 @@ def conjugate_commuting(basis, r):
 
     Returns (status, x): "conjugate" with a verified x, "no_fiber" when no
     integer commutant element of c has r's characteristic polynomial (a
-    definitive refutation), or "inconclusive" when the determinant-form
-    search ran out of box.
+    definitive refutation), or "inconclusive" when the cyclic-form search
+    ran out of box.
     """
     chi_r = char_cubic(r)
     fiber = _commutant_fiber(basis, chi_r)
     if not fiber:
         return ("no_fiber", None)
     for y in fiber:
-        gs = _intertwiner_basis(y, r)
-        form = det_form(gs)
+        y2 = y @ y
+        form = cyclic_form(y, y2)
         assert not form.is_zero()
         for box in CLASSIFY_DET_BOXES:
             hit = search_box(form.coeffs, TERNARY_CUBIC_EXPONENTS, box)
             if hit is None:
                 continue
-            (xv, yv, zv), dv = hit
-            x = xv * gs[0] + yv * gs[1] + zv * gs[2]
+            v, dv = hit
             if dv == -1:
-                x = -x
+                v = tuple(-t for t in v)
+            x = IntMat((v, y.transpose().apply(v), y2.transpose().apply(v)))
             assert x.det() == 1
             assert x @ y == r @ x
             w = x @ basis.c @ adjugate(x)

@@ -51,7 +51,9 @@ class IntMat:
 
     @classmethod
     def identity(cls, k):
-        return cls(tuple(tuple(int(i == j) for j in range(k)) for i in range(k)))
+        if k not in (2, 3):
+            raise ValueError("expected a square 2x2 or 3x3 matrix")
+        return cls._of(tuple(tuple(int(i == j) for j in range(k)) for i in range(k)))
 
     @classmethod
     def zero(cls, k):
@@ -72,21 +74,21 @@ class IntMat:
 
     def __add__(self, other):
         self._check_dim(other)
-        k = self.dim
-        return IntMat(tuple(tuple(self.rows[i][j] + other.rows[i][j] for j in range(k)) for i in range(k)))
+        return IntMat._of(tuple(tuple(x + y for x, y in zip(r, s))
+                                for r, s in zip(self.rows, other.rows)))
 
     def __sub__(self, other):
         self._check_dim(other)
-        k = self.dim
-        return IntMat(tuple(tuple(self.rows[i][j] - other.rows[i][j] for j in range(k)) for i in range(k)))
+        return IntMat._of(tuple(tuple(x - y for x, y in zip(r, s))
+                                for r, s in zip(self.rows, other.rows)))
 
     def __neg__(self):
-        return IntMat(tuple(tuple(-x for x in row) for row in self.rows))
+        return IntMat._of(tuple(tuple(-x for x in row) for row in self.rows))
 
     def __mul__(self, scalar):
         if not isinstance(scalar, int):
             return NotImplemented
-        return IntMat(tuple(tuple(scalar * x for x in row) for row in self.rows))
+        return IntMat._of(tuple(tuple(scalar * x for x in row) for row in self.rows))
 
     __rmul__ = __mul__
 
@@ -117,15 +119,14 @@ class IntMat:
         return result
 
     def _check_dim(self, other):
-        if not isinstance(other, IntMat) or other.dim != self.dim:
+        if not isinstance(other, IntMat) or len(other.rows) != len(self.rows):
             raise ValueError("dimension mismatch")
 
     def transpose(self):
-        k = self.dim
-        return IntMat(tuple(tuple(self.rows[j][i] for j in range(k)) for i in range(k)))
+        return IntMat._of(tuple(zip(*self.rows)))
 
     def trace(self):
-        return sum(self.rows[i][i] for i in range(self.dim))
+        return sum(row[i] for i, row in enumerate(self.rows))
 
     def det(self):
         r = self.rows

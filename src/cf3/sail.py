@@ -20,7 +20,6 @@ from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.spatial import ConvexHull, QhullError
 
 from .commutant import commutant_basis, express_in_powers
 from .errors import CoverageError  # re-exported: cli and cf3 import it here
@@ -409,6 +408,9 @@ def compute_sail(cone, radius):
     and area do not depend on the radius.  Faces already certified at a
     smaller radius are certified again at any larger one.
     """
+    # scipy is imported here, its only use, so that importing cf3 skips Qhull
+    from scipy.spatial import ConvexHull, QhullError
+
     if radius < 1:
         raise ValueError("radius must be at least 1")
     pts = _cone_points(cone, radius)

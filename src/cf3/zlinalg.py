@@ -7,9 +7,8 @@ matrices, and the solutions of linear systems, read off an integer kernel.
 Lattice coordinates are integers, by forward substitution on an echelon
 basis; a Fraction appears only as the solution of a rational system.
 
-Matrices in this module are plain lists of lists; sizes run up to 9x9 (the
-intertwiner systems of 3x3 matrices), where dense exact elimination is
-trivially fast.
+Matrices in this module are plain lists of lists; rows run up to 9 entries
+(flattened 3x3 matrices), where dense exact elimination is trivially fast.
 """
 
 from __future__ import annotations

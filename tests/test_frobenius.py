@@ -1,6 +1,7 @@
 """Frobenius type decisions, both dimensions, and fraction classification."""
 
 import functools
+import hashlib
 import itertools
 import random
 from fractions import Fraction
@@ -13,7 +14,8 @@ from hypothesis import strategies as st
 
 from cf3.census import (HYPERBOLIC, M_ONLY, classify_matrix, matrices_in_class,
                         matrix_from_flat)
-from cf3.commutant import commutant_basis
+from cf3.commutant import CommutantError, commutant_basis
+from cf3.forms import cyclic_form, det_form, q3
 from cf3.frobenius import (FrobeniusParams, REFERENCE_PARAMS, classify_fraction,
                            classification_report, commuting_frobenius_params,
                            conjugate_commuting, decide_thm2,
@@ -21,8 +23,10 @@ from cf3.frobenius import (FrobeniusParams, REFERENCE_PARAMS, classify_fraction,
                            sl2_ball, theorem1_sweep, _commutant_fiber,
                            _ratio_square, _sample_norm_flat)
 from cf3.intmat import (CharCubic, CharQuad, IntMat, adjugate, char_cubic,
-                        char_quad, is_irreducible, is_square)
+                        char_quad, format_matrix, is_irreducible, is_square,
+                        parse_matrix)
 from cf3.solver import _rank
+from cf3.zlinalg import hnf_basis, right_kernel
 
 A42 = IntMat([[1, 2, 0], [0, 1, 2], [-7, 0, 29]])
 GOLDEN = IntMat([[0, 1, 0], [0, 0, 1], [1, 2, -1]])
@@ -105,6 +109,79 @@ def test_decide_thm3_on_random_frobenius_matrices():
             continue
         assert decide_thm3(m).status == "frobenius"
         done += 1
+
+
+def test_decide_thm3_rejects_a_basis_of_another_matrix():
+    a42 = parse_matrix("1,2,0;0,1,2;-7,0,29")
+    golden_basis = commutant_basis(parse_matrix("0,1,0;0,0,1;1,2,-1"))
+    with pytest.raises(CommutantError):
+        q3(a42, golden_basis)
+    with pytest.raises(CommutantError):
+        decide_thm3(a42, basis=golden_basis)
+    assert decide_thm3(GOLDEN, basis=golden_basis).status == "frobenius"
+
+
+def _intertwiner_basis_oracle(y, r):
+    """Hermite basis of the integer kernel of the 9x9 system X y = r X."""
+    rows = []
+    for i in range(3):
+        for j in range(3):
+            row = [0] * 9
+            for p in range(3):
+                for q_ in range(3):
+                    coef = 0
+                    if p == i:
+                        coef += y.rows[q_][j]
+                    if q_ == j:
+                        coef -= r.rows[i][p]
+                    row[3 * p + q_] = coef
+            rows.append(row)
+    return hnf_basis(right_kernel(rows))
+
+
+def _row_times(v, m):
+    return tuple(sum(v[i] * m.rows[i][j] for i in range(3)) for j in range(3))
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(st.lists(st.integers(-30, 30), min_size=9, max_size=9),
+       st.lists(st.integers(-6, 6), min_size=3, max_size=3))
+def test_intertwiners_are_the_cyclic_rows(flat, v):
+    """For irreducible char Y and R its companion matrix, {X : XY = RX} is
+    {[v; vY; vY^2]}: the rows [e_i; Y_i; (Y^2)_i] are the Hermite basis of
+    the kernel, and their determinant form is the cyclic form of (Y, Y^2)."""
+    y = matrix_from_flat(flat)
+    if not is_irreducible(y):
+        reject()
+    chi = char_cubic(y)
+    r = frobenius_matrix((chi.a1, -chi.a2, chi.a3))
+    y2 = y @ y
+    gs = [IntMat((e, y.rows[i], y2.rows[i])) for i, e in enumerate(IntMat.identity(3).rows)]
+    assert [list(g.flat()) for g in gs] == [list(k) for k in _intertwiner_basis_oracle(y, r)]
+    form = cyclic_form(y, y2)
+    assert det_form(gs) == form
+    x = IntMat((v, _row_times(v, y), _row_times(v, y2)))
+    assert x @ y == r @ x
+    assert x.det() == form.evaluate(*v)
+
+
+# sha256 of the lines "matrix label conjugator" ("-" when there is none) over
+# the hyperbolic matrices of norms 5 and 6 in enumeration order
+CLASSIFY_NORMS_5_6_SHA256 = "da58867bf44c1cce9cf42dba2559e30d340f193a5e635738b401458a33a278bf"
+
+
+def test_classify_labels_and_conjugators_are_frozen():
+    refs = dict(REFERENCE_PARAMS)
+    digest = hashlib.sha256()
+    for m in _matrices((5, 6), (HYPERBOLIC,)):
+        label = classify_fraction(m)
+        x = None
+        if label in refs:
+            status, x = conjugate_commuting(commutant_basis(m), refs[label].matrix())
+            assert status == "conjugate"
+        digest.update(("%s %s %s\n" % (format_matrix(m), label,
+                                       format_matrix(x) if x else "-")).encode())
+    assert digest.hexdigest() == CLASSIFY_NORMS_5_6_SHA256
 
 
 def test_commutant_fiber_contains_the_matrix_itself():

@@ -215,6 +215,40 @@ def test_matmul_matches_generic_sum(pair):
     assert all(type(v) is int for v in product.flat())
 
 
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(st.sampled_from((2, 3)).flatmap(lambda k: st.tuples(_square(k), _square(k))),
+       st.integers(-10 ** 30, 10 ** 30))
+def test_unchecked_ops_match_the_validating_constructor(pair, s):
+    x, y = pair
+    k = len(x)
+    a, b = IntMat(x), IntMat(y)
+    expected = {
+        "add": IntMat([[x[i][j] + y[i][j] for j in range(k)] for i in range(k)]),
+        "sub": IntMat([[x[i][j] - y[i][j] for j in range(k)] for i in range(k)]),
+        "neg": IntMat([[-x[i][j] for j in range(k)] for i in range(k)]),
+        "mul": IntMat([[s * x[i][j] for j in range(k)] for i in range(k)]),
+        "transpose": IntMat([[x[j][i] for j in range(k)] for i in range(k)]),
+        "identity": IntMat([[int(i == j) for j in range(k)] for i in range(k)]),
+    }
+    got = {"add": a + b, "sub": a - b, "neg": -a, "mul": s * a,
+           "transpose": a.transpose(), "identity": IntMat.identity(k)}
+    assert a * s == got["mul"]
+    for name, m in got.items():
+        assert m == expected[name] and hash(m) == hash(expected[name]), name
+        assert type(m.rows) is tuple and all(type(r) is tuple for r in m.rows), name
+        assert all(type(v) is int for v in m.flat()), name
+    other = IntMat.identity(5 - k)
+    for op in (lambda: a + other, lambda: a - other, lambda: a @ other):
+        with pytest.raises(ValueError):
+            op()
+
+
+def test_identity_rejects_other_dimensions():
+    for k in (0, 1, 4):
+        with pytest.raises(ValueError):
+            IntMat.identity(k)
+
+
 def test_char_quad():
     q = char_quad(IntMat([[0, 1], [1, 1]]))
     assert (q.t, q.d) == (1, -1)

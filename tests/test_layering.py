@@ -6,6 +6,9 @@ rationals may import fractions.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 RANKS = {
@@ -62,3 +65,12 @@ def test_only_rational_answer_modules_import_fractions():
                     alias.name == "fractions" for alias in node.names):
                 importers.add(path.stem)
     assert importers == FRACTION_MODULES
+
+
+def test_importing_cf3_leaves_scipy_unloaded():
+    """Only sail.compute_sail needs Qhull; it imports scipy when called."""
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    code = "import sys, cf3; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"
