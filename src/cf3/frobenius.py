@@ -84,6 +84,11 @@ def frobenius_matrix(values):
     return IntMat(rows)
 
 
+# (label, matrix, discriminant of chi) of each reference, built once.
+_REFERENCES = tuple((label, params.matrix(), char_cubic(params.matrix()).discriminant())
+                    for label, params in REFERENCE_PARAMS)
+
+
 @dataclass(frozen=True)
 class FrobeniusVerdict:
     status: str          # "frobenius" | "non_frobenius" | "undecided"
@@ -243,13 +248,16 @@ def _commutant_fiber(basis, chi_r):
 
 def conjugate_commuting(basis, r):
     """Search for X in SL(3,Z) making X c X^-1 commute with r, where
-    ``basis`` is the commutant basis of c.
+    ``basis`` is the commutant basis of c and r is a 3x3 Frobenius matrix
+    (ValueError otherwise).
 
     Returns (status, x): "conjugate" with a verified x, "no_fiber" when no
     integer commutant element of c has r's characteristic polynomial (a
     definitive refutation), or "inconclusive" when the cyclic-form search
     ran out of box.
     """
+    if r.dim != 3 or r.rows[:2] != ((0, 1, 0), (0, 0, 1)):
+        raise ValueError("r must be a 3x3 Frobenius matrix")
     chi_r = char_cubic(r)
     fiber = _commutant_fiber(basis, chi_r)
     if not fiber:
@@ -286,9 +294,8 @@ def classify_fraction(c):
     dc = char_cubic(c).discriminant()
     pending = False
     basis = None
-    for label, params in REFERENCE_PARAMS:
-        rmat = params.matrix()
-        if not _ratio_square(dc, char_cubic(rmat).discriminant()):
+    for label, rmat, dr in _REFERENCES:
+        if not _ratio_square(dc, dr):
             continue
         basis = basis or commutant_basis(c)
         status, _ = conjugate_commuting(basis, rmat)

@@ -36,7 +36,7 @@ from .roots import (
     refine_interval,
     sign_at_root,
 )
-from .solver import TERNARY_CUBIC_EXPONENTS, grid_coords, grid_values
+from .solver import TERNARY_CUBIC_EXPONENTS, box_values
 from .zlinalg import coords_in_basis, hnf_with_transform
 
 ROOT_WIDTH = (1, 60)  # 2^-60, as a dyadic width
@@ -299,10 +299,6 @@ def _strip_points(normal, offset, bound):
         start = stop
 
 
-def _gcd3(a, b, c):
-    return math.gcd(math.gcd(abs(a), abs(b)), abs(c))
-
-
 def _cross(u, v):
     return (u[1] * v[2] - u[2] * v[1],
             u[2] * v[0] - u[0] * v[2],
@@ -424,27 +420,23 @@ def compute_sail(cone, radius):
         hull = ConvexHull(pts.astype(np.float64))
     except QhullError:
         return empty
-    seen = set()
+    # |coordinates| <= radius <= 256 (RADIUS_LADDER), so |normal| <= 8 * 256^2
+    # and |offset| <= 24 * 256^3: both fit int64 with room to spare.
+    p0, p1, p2 = (pts[hull.simplices[:, k]] for k in range(3))
+    normals = np.cross(p1 - p0, p2 - p0)
+    offsets = np.einsum("ij,ij->i", normals, p0)
+    keep = offsets != 0
+    sign = np.sign(offsets[keep])
+    normals, offsets = normals[keep] * sign[:, None], offsets[keep] * sign
+    g = np.gcd.reduce(normals, axis=1)
+    assert not (offsets % g).any()
+    normals, offsets = normals // g[:, None], offsets // g
+    # Simplex corners are hull vertices, so a plane no hull vertex lies below
+    # is a candidate; any cone point strictly below it fails certification.
+    support = (pts[hull.vertices] @ normals.T).min(axis=0) == offsets
     faces = []
-    for simplex in hull.simplices:
-        p0, p1, p2 = (pts[k] for k in simplex)
-        n = tuple(int(x) for x in np.cross(p1 - p0, p2 - p0))
-        if n == (0, 0, 0):
-            continue
-        d = int(n[0] * p0[0] + n[1] * p0[1] + n[2] * p0[2])
-        if d < 0:
-            n, d = tuple(-x for x in n), -d
-        if d == 0:
-            continue
-        g = _gcd3(*n)
-        n = tuple(x // g for x in n)
-        assert d % g == 0
-        d //= g
-        if (n, d) in seen:
-            continue
-        seen.add((n, d))
-        if int((pts @ np.asarray(n, dtype=np.int64)).min()) != d:
-            continue
+    for n, d in dict.fromkeys(zip(map(tuple, normals[support].tolist()),
+                                  offsets[support].tolist())):
         if (n, d) not in cone.face_cache:
             cone.face_cache[(n, d)] = _certify_face(cone, n, d)
         face = cone.face_cache[(n, d)]
@@ -586,10 +578,11 @@ def _unit_pool(form, box):
     if sum(abs(c) for c in form.coeffs) * max(1, box) ** 3 >= 2**62:
         raise CoverageError("determinant form values at unit box %d may overflow "
                             "int64" % box)
-    coords = grid_coords(np.arange(-box, box + 1, dtype=np.int64), 3)
-    val = grid_values(form.coeffs, TERNARY_CUBIC_EXPONENTS, coords)
-    return [(tuple(int(g[k]) for g in coords), int(val[k]))
-            for k in np.flatnonzero(np.abs(val) == 1)]
+    side = np.arange(-box, box + 1, dtype=np.int64)
+    val = box_values(form.coeffs, TERNARY_CUBIC_EXPONENTS, side).ravel()
+    hits = np.flatnonzero(np.abs(val) == 1)
+    pts = side[np.column_stack(np.unravel_index(hits, (len(side),) * 3))]
+    return [(tuple(p), v) for p, v in zip(pts.tolist(), val[hits].tolist())]
 
 
 def _norm_inf(v):

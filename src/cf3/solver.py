@@ -107,6 +107,32 @@ def grid_values(coeffs, exponents, coords):
     return total
 
 
+def box_values(coeffs, exponents, side, q=0):
+    """The form on the box side^arity as an (n, n^(arity-1)) int64 array in
+    lexicographic order, reduced mod q when q is given.
+
+    The monomials are grouped by the exponent of the first variable into
+    coefficient tables over the other variables; Horner's rule in the first
+    variable then evaluates the whole box.  Without q the caller rules out
+    int64 overflow.
+    """
+    def mod(a):
+        return a % q if q else a
+
+    rest = grid_coords(side, len(exponents[0]) - 1)
+    tables = [np.zeros_like(rest[0]) for _ in range(max(e[0] for e in exponents) + 1)]
+    for c, (e0, *exps) in zip(coeffs, exponents):
+        term = np.full_like(rest[0], mod(c))
+        for g, e in zip(rest, exps):
+            for _ in range(e):
+                term = mod(term * g)
+        tables[e0] = mod(tables[e0] + term)
+    total = tables[-1][None, :]
+    for table in reversed(tables[:-1]):
+        total = mod(total * side[:, None] + table)
+    return total
+
+
 _GRID_CACHE = {}
 
 
@@ -177,28 +203,9 @@ def search_box(coeffs, exponents, bound, targets=UNIT_TARGETS):
 
 @lru_cache(maxsize=65536)
 def _residues_mod(coeffs, exponents, q):
-    """All residues the form attains on (Z/q)^arity.
-
-    The monomials are grouped by the exponent of the first variable into
-    coefficient tables over the other variables, reduced mod q after every
-    multiply; Horner's rule in the first variable then evaluates the whole
-    grid as one (q, q^(arity-1)) array, whose values are marked in a
-    length-q table.
-    """
-    rest = grid_coords(np.arange(q, dtype=np.int64), len(exponents[0]) - 1)
-    tables = [np.zeros_like(rest[0]) for _ in range(max(e[0] for e in exponents) + 1)]
-    for c, (e0, *exps) in zip(coeffs, exponents):
-        term = np.full_like(rest[0], c % q)
-        for g, e in zip(rest, exps):
-            for _ in range(e):
-                term = term * g % q
-        tables[e0] = (tables[e0] + term) % q
-    x = np.arange(q, dtype=np.int64)[:, None]
-    total = tables[-1][None, :]
-    for table in reversed(tables[:-1]):
-        total = (total * x + table) % q
+    """All residues the form attains on (Z/q)^arity."""
     seen = np.zeros(q, dtype=bool)
-    seen[total.ravel()] = True
+    seen[box_values(coeffs, exponents, np.arange(q, dtype=np.int64), q).ravel()] = True
     return frozenset(np.flatnonzero(seen).tolist())
 
 

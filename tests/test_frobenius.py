@@ -271,6 +271,16 @@ def test_conjugate_commuting_statuses():
     assert conjugate_commuting(basis, other)[0] == "no_fiber"
 
 
+def test_conjugate_commuting_rejects_a_non_frobenius_reference():
+    # r has the golden matrix's polynomial but is not in Frobenius form, so
+    # a cyclic-vector X solves XY = FX for the Frobenius F, not for r.
+    p = IntMat([[1, 1, 0], [0, 1, 1], [1, 1, 1]])
+    r = p @ GOLDEN @ adjugate(p)
+    assert char_cubic(r) == char_cubic(GOLDEN) and r != GOLDEN
+    with pytest.raises(ValueError, match="Frobenius"):
+        conjugate_commuting(commutant_basis(GOLDEN), r)
+
+
 def test_classify_reference_matrices():
     for label, params in REFERENCE_PARAMS:
         assert classify_fraction(params.matrix()) == label

@@ -1,4 +1,6 @@
+import hashlib
 import math
+import random
 
 import numpy as np
 import pytest
@@ -6,7 +8,10 @@ from hypothesis import assume, given, reject, settings
 from hypothesis import strategies as st
 
 from cf3 import sail
-from cf3.forms import det_form
+from cf3.acceptance import SEED, SL3_SAMPLE, _random_sl3, conjugate_by
+from cf3.commutant import commutant_basis
+from cf3.forms import TERNARY_CUBIC_EXPONENTS, det_form
+from cf3.frobenius import REFERENCE_PARAMS
 from cf3.intmat import CharCubic, IntMat, adjugate, char_cubic
 from cf3.roots import (
     isolate_real_roots,
@@ -25,8 +30,10 @@ from cf3.sail import (
     _absorb,
     _box_slices,
     _cell_candidates,
+    _certify_face,
     _char_adjugate,
     _combo_poly,
+    _cone_points,
     _mat_power,
     _Roots,
     _strip_points,
@@ -39,6 +46,7 @@ from cf3.sail import (
     sail_svg,
     torus_invariant_for,
 )
+from cf3.solver import grid_coords, grid_values
 from cf3.zlinalg import inverse_unimodular
 
 GOLDEN = IntMat([[0, 1, 0], [0, 0, 1], [1, 2, -1]])
@@ -267,6 +275,75 @@ def test_strip_points_is_the_box_slab(normal, offset, bound):
         got.extend(tuple(int(x) for x in p) for p in pts)
     assert len(got) == len(set(got))
     assert set(got) == _slab_oracle(normal, offset, bound)
+
+
+def _unit_pool_oracle(form, box):
+    # The pool as it was built before the Horner pass: the form evaluated
+    # monomial by monomial over the whole meshgrid.
+    coords = grid_coords(np.arange(-box, box + 1, dtype=np.int64), 3)
+    val = grid_values(form.coeffs, TERNARY_CUBIC_EXPONENTS, coords)
+    return [(tuple(int(g[k]) for g in coords), int(val[k]))
+            for k in np.flatnonzero(np.abs(val) == 1)]
+
+
+@pytest.mark.parametrize("c", [GOLDEN, M131, M031, A42, conjugate(P_UNIMODULAR, M131)])
+def test_unit_pool_matches_the_grid_builder(c):
+    form = det_form(commutant_basis(c).members())
+    for box in (4, 8, 16):
+        assert _unit_pool(form, box) == _unit_pool_oracle(form, box)
+
+
+def _face_keys_oracle(cone, radius):
+    # The per-simplex loop that compute_sail ran before its planes were built
+    # in one array pass: every plane is tested against all cone points.
+    from scipy.spatial import ConvexHull
+
+    pts = _cone_points(cone, radius)
+    hull = ConvexHull(pts.astype(np.float64))
+    seen, keys = set(), set()
+    for simplex in hull.simplices:
+        p0, p1, p2 = (pts[k].tolist() for k in simplex)
+        n = tuple(int(x) for x in np.cross(np.subtract(p1, p0), np.subtract(p2, p0)))
+        d = sum(a * b for a, b in zip(n, p0))
+        if d < 0:
+            n, d = tuple(-x for x in n), -d
+        if d == 0:
+            continue
+        g = math.gcd(*n)
+        n, d = tuple(x // g for x in n), d // g
+        if (n, d) in seen:
+            continue
+        seen.add((n, d))
+        if int((pts @ np.asarray(n, dtype=np.int64)).min()) != d:
+            continue
+        face = _certify_face(cone, n, d)
+        if face is not None:
+            keys.add(face.key())
+    return frozenset(keys)
+
+
+@pytest.mark.parametrize("c", [GOLDEN, M131, M031, conjugate(P_UNIMODULAR, M031)])
+def test_compute_sail_faces_match_the_per_simplex_loop(c):
+    for radius in (8, 16, 32):
+        assert (compute_sail(eigen_cone(c), radius).face_keys()
+                == _face_keys_oracle(eigen_cone(c), radius))
+
+
+# sha256 of the lines "matrix key group_certified radius" of the torus
+# invariant of every conjugate that the sail acceptance claim draws, frozen.
+CLAIM7_SHA256 = "c04200e54d85d08e8128d8af898921a26cf5cb387b7049098c4711136bdeb6b2"
+
+
+def test_claim7_conjugate_invariants_are_frozen():
+    lines = []
+    for label, params in REFERENCE_PARAMS:
+        rng = random.Random("%s:%s" % (SEED, label))
+        for _ in range(SL3_SAMPLE):
+            conj = conjugate_by(_random_sl3(rng), params.matrix())
+            inv = torus_invariant_for(conj)
+            lines.append("%s %r %s %d" % (conj.flat(), inv.key(), inv.group_certified,
+                                          inv.radius))
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == CLAIM7_SHA256
 
 
 @pytest.mark.parametrize("c", [

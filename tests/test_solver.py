@@ -14,8 +14,8 @@ from cf3.forms import (BinaryCubicForm, BinaryQF, TernaryCubicForm,
 from cf3.intmat import IntMat, is_irreducible
 from cf3.solver import (_GRID_CACHE, BINARY_CUBIC_EXPONENTS, BINARY_QUAD_EXPONENTS,
                         TERNARY_CUBIC_EXPONENTS, Caps, Certificate, _grid, _rank,
-                        _residues_mod, _search_box_python, decide_product,
-                        decide_quadratic, grid_coords, modular_obstruction,
+                        _residues_mod, _search_box_python, box_values, decide_product,
+                        decide_quadratic, grid_coords, grid_values, modular_obstruction,
                         pell_decide, search_box)
 
 A42 = IntMat([[1, 2, 0], [0, 1, 2], [-7, 0, 29]])
@@ -174,6 +174,24 @@ def _oracle_obstruction(coeffs, exponents, cap, targets=(1, -1)):
         if not any(t % q in got for t in targets):
             return Certificate(kind="modulus", modulus=q, residues=tuple(sorted(got)))
     return None
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(st.sampled_from([BINARY_CUBIC_EXPONENTS, TERNARY_CUBIC_EXPONENTS]).flatmap(
+           lambda e: st.tuples(st.just(e), st.lists(st.integers(-50, 50), min_size=len(e),
+                                                    max_size=len(e)))),
+       st.integers(0, 6), st.integers(2, 30))
+def test_box_values_is_the_grid_evaluation(form, bound, q):
+    """One Horner pass equals the monomial-by-monomial grid evaluation, over
+    a box and over the residues mod q."""
+    exponents, coeffs = form
+    arity = len(exponents[0])
+    for side, modulus in ((np.arange(-bound, bound + 1, dtype=np.int64), 0),
+                          (np.arange(q, dtype=np.int64), q)):
+        got = box_values(coeffs, exponents, side, modulus)
+        assert got.shape == (len(side), len(side) ** (arity - 1))
+        want = grid_values(coeffs, exponents, grid_coords(side, arity))
+        assert (got.ravel() == (want % modulus if modulus else want)).all()
 
 
 def test_residues_match_direct_enumeration():
