@@ -10,7 +10,7 @@ a witness converts directly into a conjugator: its primitive part becomes
 the first row of an SL(2,Z) matrix, after which the conjugated matrix
 satisfies the divisibility conditions for commuting with some Frobenius
 matrix.  For k = 3 the question is equivalent to the five-variable product
-q3 attaining +-1, searched with an escalating box and obstructed modularly.
+q3 attaining +-1, searched in one box and obstructed modularly.
 
 classify_fraction matches a hyperbolic matrix against reference Frobenius
 matrices.  C matches R exactly when some X in SL(3,Z) makes X C X^-1
@@ -28,8 +28,9 @@ with char(Y) = char(R) is conjugate to R.  The search is exact:
 * a unimodular point of that cubic (a -1 is absorbed by negating X, the
   dimension being odd) yields the conjugator, which is then verified.
 
-An empty candidate set refutes the match outright; only a missing
-unimodular point within the search ladder leaves the matrix unresolved.
+An empty candidate set refutes the match, and so do modular obstructions of
+all the candidates' cubics; only a cubic that is neither hit in the search
+box nor obstructed leaves the matrix unresolved.
 """
 
 from __future__ import annotations
@@ -47,13 +48,15 @@ from .forms import det_form  # noqa: F401  - traced name, no caller here
 from .intmat import (IntMat, adjugate, char_cubic, format_matrix,
                      is_irreducible, is_square)
 from .parallel import parallel_map_chunked
-from .solver import (TERNARY_CUBIC_EXPONENTS, Caps, _rank, decide_product,
-                     decide_quadratic, search_box)
+from .solver import (TERNARY_CUBIC_EXPONENTS, Caps, _rank, decide_form,
+                     decide_product, decide_quadratic)
+from .solver import search_box  # noqa: F401  - traced name, no caller here
 from .solver import BOX_LADDER  # re-exported: the default 3x3 search ladder
 from .zlinalg import xgcd
 from .zlinalg import hnf_basis  # noqa: F401  - traced name, no caller here
 
-CLASSIFY_DET_BOXES = (6, 12, 24)
+CLASSIFY_CAPS = Caps(box=24)
+CLASSIFY_DET_BOXES = CLASSIFY_CAPS.ladder  # the benchmark's warm-up reads it
 
 LABELS = ("golden_ratio", "M_-1_3_1", "M_0_3_1", "other", "unresolved")
 
@@ -185,7 +188,7 @@ def oracle_2x2(a, radius):
 def decide_thm3(c, basis=None, caps=Caps()):
     """Frobenius type of an irreducible 3x3 matrix.
 
-    Solvable and unsolvable verdicts are exact; exhausting the box ladder
+    Solvable and unsolvable verdicts are exact; exhausting the search box
     and the modulus cap without either leaves the matrix undecided.
     """
     if c.dim != 3:
@@ -252,9 +255,9 @@ def conjugate_commuting(basis, r):
     (ValueError otherwise).
 
     Returns (status, x): "conjugate" with a verified x, "no_fiber" when no
-    integer commutant element of c has r's characteristic polynomial (a
-    definitive refutation), or "inconclusive" when the cyclic-form search
-    ran out of box.
+    integer commutant element of c has r's characteristic polynomial,
+    "refuted" when every such element's cyclic-vector form is obstructed
+    modularly, or "inconclusive" when decide_form left some form unknown.
     """
     if r.dim != 3 or r.rows[:2] != ((0, 1, 0), (0, 0, 1)):
         raise ValueError("r must be a 3x3 Frobenius matrix")
@@ -262,32 +265,32 @@ def conjugate_commuting(basis, r):
     fiber = _commutant_fiber(basis, chi_r)
     if not fiber:
         return ("no_fiber", None)
+    pending = False
     for y in fiber:
         y2 = y @ y
         form = cyclic_form(y, y2)
         assert not form.is_zero()
-        for box in CLASSIFY_DET_BOXES:
-            hit = search_box(form.coeffs, TERNARY_CUBIC_EXPONENTS, box)
-            if hit is None:
-                continue
-            v, dv = hit
-            if dv == -1:
-                v = tuple(-t for t in v)
-            x = IntMat((v, y.transpose().apply(v), y2.transpose().apply(v)))
-            assert x.det() == 1
-            assert x @ y == r @ x
-            w = x @ basis.c @ adjugate(x)
-            assert w @ r == r @ w
-            return ("conjugate", x)
-    return ("inconclusive", None)
+        sol = decide_form(form.coeffs, TERNARY_CUBIC_EXPONENTS, CLASSIFY_CAPS)
+        pending |= sol.verdict == "unknown"
+        if sol.verdict != "solvable":
+            continue
+        v = tuple(sol.value * t for t in sol.witness)
+        x = IntMat((v, y.transpose().apply(v), y2.transpose().apply(v)))
+        assert x.det() == 1
+        assert x @ y == r @ x
+        w = x @ basis.c @ adjugate(x)
+        assert w @ r == r @ w
+        return ("conjugate", x)
+    return ("inconclusive" if pending else "refuted", None)
 
 
 def classify_fraction(c):
     """Label the periodic fraction of an irreducible 3x3 matrix.
 
     Labels name the matched reference matrix; "other" is definitive (for
-    every reference, either the field invariant or the commutant fiber
-    refutes the match), "unresolved" records an exhausted search.
+    every reference, the field invariant, the commutant fiber or a modular
+    obstruction of the fiber's cyclic-vector forms refutes the match),
+    "unresolved" records a search that neither hit nor refuted.
     """
     if c.dim != 3 or not is_irreducible(c):
         raise ValueError("classification needs an irreducible 3x3 matrix")

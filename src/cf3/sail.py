@@ -670,10 +670,12 @@ def dirichlet_generators(cone):
     units = _Units(c, cone.roots)
     form = det_form(units.basis.members())
     result = None
-    for box in UNIT_BOXES:
-        pool = []
+    pool = []
+    for inner, box in zip((0,) + UNIT_BOXES, UNIT_BOXES):
+        # the pool of the inner box carries over: test only the new shells
         for coords, det in _unit_pool(form, box):
-            if coords != (1, 0, 0) and units.totally_positive(coords, det):
+            if (_norm_inf(coords) > inner and coords != (1, 0, 0)
+                    and units.totally_positive(coords, det)):
                 u = units.matrix(coords)
                 pool.append((units.log(u), coords, u))
         pool.sort(key=lambda item: (_norm_inf(item[0]), item[1]))

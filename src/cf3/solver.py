@@ -4,8 +4,9 @@ Three engines, in increasing specificity:
 
 * search_box: the first hit in an integer box in a fixed canonical order
   (shells of growing max-norm, then lexicographic with the per-coordinate
-  value order 0 < 1 < -1 < 2 < -2 < ...), scanned by growing shells and
-  numpy-vectorized when the coefficients fit int64, hits re-checked exactly;
+  value order 0 < 1 < -1 < 2 < -2 < ...), evaluated pass by pass in int64
+  while every product provably fits and in exact integers past that, hits
+  re-checked exactly;
 * modular_obstruction: the smallest modulus q where the form's residue set
   misses both 1 and -1, which certifies unsolvability.  Only prime powers
   are scanned: for an odd form the smallest obstructing modulus is one.
@@ -16,17 +17,17 @@ Three engines, in increasing specificity:
   of the cycle, and the witness is read off the accumulated change of
   basis.  Negative discriminants are decided by complete enumeration.
 
-decide_product handles the five-variable product of a binary and a ternary
-cubic.  Its values factor as content * f1 * f2 over independent variables,
-so it attains a unit value exactly when the content is 1 and each primitive
-factor attains one.  Its search box and modulus cap come from one Caps value.
+decide_form decides one cubic form: one box search, then the obstruction
+scan on a miss.  decide_product runs it on both factors of the product of a
+binary and a ternary cubic, whose values factor as content * f1 * f2 over
+independent variables: a unit value exists exactly when the content is 1
+and each primitive factor attains one.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import lru_cache
-from itertools import product as iter_product
 from math import isqrt
 
 import numpy as np
@@ -42,11 +43,12 @@ PELL_STEP_CAP = 100000
 
 @dataclass(frozen=True)
 class Caps:
-    """Witness search box and obstruction modulus cap of the product decision.
+    """Witness search box and obstruction modulus cap of a unit-value decision.
 
-    The search escalates through the rungs of BOX_LADDER below ``box`` and
-    then ``box`` itself, so ``Caps()`` searches boxes 12, 25 and 50.  A cap
-    of 0 disables its engine, which leaves decisions undecided on purpose.
+    The search scans the box ``box`` once, shell first; a witness reports the
+    smallest rung of ``ladder`` (those of BOX_LADDER below ``box``, then
+    ``box``) that holds it, so ``Caps()`` reports 12, 25 or 50.  A cap of 0
+    disables its engine, which leaves decisions undecided on purpose.
     """
 
     box: int = 50
@@ -94,12 +96,13 @@ def grid_coords(side, arity):
 
 
 def grid_values(coeffs, exponents, coords):
-    """The form at every grid point, in int64; the caller rules out overflow."""
+    """The form at every grid point, in the dtype of ``coords``: int64 when
+    the caller rules out overflow, object for exact Python integers."""
     total = np.zeros_like(coords[0])
     for c, exps in zip(coeffs, exponents):
         if not c:
             continue
-        term = np.full_like(coords[0], c)
+        term = c
         for g, e in zip(coords, exps):
             for _ in range(e):
                 term = term * g
@@ -155,47 +158,36 @@ def _grid(arity, bound):
     return _GRID_CACHE[arity][1]
 
 
-def _search_box_python(coeffs, exponents, bound, targets):
-    arity = len(exponents[0])
-    for shell in range(bound + 1):
-        vals = sorted(range(-shell, shell + 1), key=_rank)
-        for point in iter_product(vals, repeat=arity):
-            if max(abs(v) for v in point) != shell:
-                continue
-            if evaluate_form(coeffs, exponents, point) in targets:
-                return point
-    return None
-
-
 def search_box(coeffs, exponents, bound, targets=UNIT_TARGETS):
     """First point, in canonical order, where the form hits a target value.
 
-    Returns (point, value) or None.  The numpy path is used whenever every
-    intermediate product provably fits int64; it evaluates the new points of
-    shells <= 1, 3, 7, ..., bound pass by pass and stops at the first pass
-    with a hit.  Hits are re-verified exactly.
+    Returns (point, value) or None.  The new points of shells <= 1, 3, 7,
+    ..., bound are evaluated pass by pass, and the search stops at the
+    first pass with a hit.  Passes also end at the rungs of BOX_LADDER, so
+    a hit within rung b costs no more than a search of box b.  A pass runs
+    in int64 when every intermediate product on its shells provably fits,
+    and on exact Python integers otherwise.  Hits are re-verified exactly.
     """
-    coeffs = tuple(int(c) for c in coeffs)
-    degree = max(sum(e) for e in exponents)
-    limit = sum(abs(c) for c in coeffs) * max(1, bound) ** degree
-    if limit < 2 ** 62 and max(abs(t) for t in targets) < 2 ** 62:
-        coords = _grid(len(exponents[0]), bound)
-        start, shell = 0, min(1, bound)
-        while True:
-            end = (2 * shell + 1) ** len(coords)
-            total = grid_values(coeffs, exponents, [g[start:end] for g in coords])
-            mask = np.logical_or.reduce([total == t for t in targets])
-            k = int(mask.argmax())
-            if mask[k]:
-                point = tuple(int(g[start + k]) for g in coords)
-                break
-            if shell == bound:
-                return None
-            start, shell = end, min(2 * shell + 1, bound)
-    else:
-        point = _search_box_python(coeffs, exponents, bound, targets)
-        if point is None:
+    coeffs = tuple(map(int, coeffs))
+    degree = max(map(sum, exponents))
+    weight = sum(map(abs, coeffs))
+    coords = _grid(len(exponents[0]), bound)
+    start, shell = 0, min(1, bound)
+    while True:
+        end = (2 * shell + 1) ** len(coords)
+        cols = [g[start:end] for g in coords]
+        if max(weight * max(1, shell) ** degree, *map(abs, targets)) >= 2 ** 62:
+            cols = [g.astype(object) for g in cols]
+        total = grid_values(coeffs, exponents, cols)
+        mask = np.logical_or.reduce([total == t for t in targets])
+        k = int(mask.argmax())
+        if mask[k]:
+            point = tuple(int(g[start + k]) for g in coords)
+            break
+        if shell == bound:
             return None
+        start, shell = end, min(2 ** (shell + 1).bit_length() - 1, bound,
+                                *(b for b in BOX_LADDER if b > shell))
     value = evaluate_form(coeffs, exponents, point)
     assert value in targets
     return point, value
@@ -355,39 +347,41 @@ def decide_quadratic(qf):
 
 # ---------------------------------------------------------------- products
 
+def decide_form(coeffs, exponents, caps=Caps()):
+    """Does one odd cubic form attain +1 or -1?  One search of the box
+    ``caps.box``, whose witness reports the smallest rung of ``caps.ladder``
+    that holds it, else the obstruction scan up to ``caps.modulus_cap``."""
+    hit = search_box(coeffs, exponents, caps.box)
+    if hit is not None:
+        shell = max(map(abs, hit[0]))
+        return Solvability("solvable", witness=hit[0], value=hit[1],
+                           search_bound=min(b for b in caps.ladder if b >= shell))
+    cert = modular_obstruction(coeffs, exponents, caps.modulus_cap)
+    return Solvability("unknown" if cert is None else "unsolvable", certificate=cert,
+                       search_bound=caps.box, modulus_cap=caps.modulus_cap)
+
+
 def decide_product(pf, caps=Caps()):
     """Does the five-variable product attain +1 or -1?
 
     With content 1 the question splits exactly: each primitive factor must
-    attain a unit value on its own variables, and a certificate for either
-    factor certifies the product; content > 1 is itself a certificate.
-    Both factors are searched up the box ladder of ``caps``, a witness found
-    at a small box being kept while the other factor escalates; the
-    obstruction scan runs only once the whole ladder has failed, and only
-    for factors without a witness.
+    attain a unit value on its own variables, and the first factor refuted,
+    binary then ternary, certifies the product; content > 1 is itself a
+    certificate.
     """
     if pf.content > 1:
         return _content_certificate(pf.content)
-    factors = [
-        [pf.mn_primitive, BINARY_CUBIC_EXPONENTS, "binary factor", None],
-        [pf.xyz_primitive, TERNARY_CUBIC_EXPONENTS, "ternary factor", None],
-    ]
-    cap = caps.modulus_cap
-    for box in caps.ladder:
-        for fac in factors:
-            if fac[3] is None:
-                fac[3] = search_box(fac[0], fac[1], box)
-        if all(fac[3] is not None for fac in factors):
-            witness = factors[1][3][0] + factors[0][3][0]
-            value = pf.evaluate(*witness[:3], *witness[3:])
-            assert abs(value) == 1
-            return Solvability("solvable", witness=witness, value=value,
-                               search_bound=box)
-    for fac in factors:
-        if fac[3] is not None:
-            continue
-        cert = modular_obstruction(fac[0], fac[1], cap)
-        if cert is not None:
-            return Solvability("unsolvable", certificate=replace(cert, detail=fac[2]),
-                               search_bound=box, modulus_cap=cap)
-    return Solvability("unknown", search_bound=box, modulus_cap=cap)
+    sols = []
+    for prim, exponents, name in ((pf.mn_primitive, BINARY_CUBIC_EXPONENTS, "binary factor"),
+                                  (pf.xyz_primitive, TERNARY_CUBIC_EXPONENTS, "ternary factor")):
+        sols.append(decide_form(prim, exponents, caps))
+        if sols[-1].verdict == "unsolvable":
+            return replace(sols[-1], certificate=replace(sols[-1].certificate, detail=name))
+    binary, ternary = sols
+    if "unknown" in (binary.verdict, ternary.verdict):
+        return Solvability("unknown", search_bound=caps.box, modulus_cap=caps.modulus_cap)
+    witness = ternary.witness + binary.witness
+    value = pf.evaluate(*witness[:3], *witness[3:])
+    assert abs(value) == 1
+    return Solvability("solvable", witness=witness, value=value,
+                       search_bound=max(binary.search_bound, ternary.search_bound))

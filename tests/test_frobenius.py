@@ -3,9 +3,11 @@
 import functools
 import hashlib
 import itertools
+import json
 import random
 from fractions import Fraction
 from math import isqrt
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,7 +17,7 @@ from hypothesis import strategies as st
 from cf3.census import (HYPERBOLIC, M_ONLY, classify_matrix, matrices_in_class,
                         matrix_from_flat)
 from cf3.commutant import CommutantError, commutant_basis
-from cf3.forms import cyclic_form, det_form, q3
+from cf3.forms import TernaryCubicForm, cyclic_form, det_form, q3
 from cf3.frobenius import (FrobeniusParams, REFERENCE_PARAMS, classify_fraction,
                            classification_report, commuting_frobenius_params,
                            conjugate_commuting, decide_thm2,
@@ -25,7 +27,7 @@ from cf3.frobenius import (FrobeniusParams, REFERENCE_PARAMS, classify_fraction,
 from cf3.intmat import (CharCubic, CharQuad, IntMat, adjugate, char_cubic,
                         char_quad, format_matrix, is_irreducible, is_square,
                         parse_matrix)
-from cf3.solver import _rank
+from cf3.solver import _rank, decide_form
 from cf3.zlinalg import hnf_basis, right_kernel
 
 A42 = IntMat([[1, 2, 0], [0, 1, 2], [-7, 0, 29]])
@@ -109,6 +111,23 @@ def test_decide_thm3_on_random_frobenius_matrices():
             continue
         assert decide_thm3(m).status == "frobenius"
         done += 1
+
+
+POOL = Path(__file__).resolve().parent.parent / "perfbench" / "pool.json"
+
+
+def test_decide_thm3_reproduces_the_frozen_hunt_pool_tags():
+    # the tags were written from the decision's search_bound: "w12" is a
+    # witness at rung 12 of the ladder, "refuted" a modulus certificate
+    tags = {"frobenius": lambda sol: "w%d" % sol.search_bound,
+            "non_frobenius": lambda sol: "refuted"}
+    checked = 0
+    for entry in json.loads(POOL.read_text())["hunt"]:
+        if entry["tag"] in ("w12", "w25", "w50", "refuted"):
+            verdict = decide_thm3(parse_matrix(entry["matrix"]))
+            assert tags[verdict.status](verdict.solvability) == entry["tag"], entry
+            checked += 1
+    assert checked == 435
 
 
 def test_decide_thm3_rejects_a_basis_of_another_matrix():
@@ -269,6 +288,24 @@ def test_conjugate_commuting_statuses():
     # other reference polynomial
     other = frobenius_matrix((0, 3, 1))
     assert conjugate_commuting(basis, other)[0] == "no_fiber"
+
+
+def test_conjugate_commuting_refutes_obstructed_cyclic_forms(monkeypatch):
+    # 7 times a cyclic-vector form takes only multiples of 7: no hit in the
+    # search box, and its residues mod 7 miss +-1, which refutes the match.
+    scaled = lambda y, y2: TernaryCubicForm(tuple(7 * c for c in cyclic_form(y, y2).coeffs))
+    sols = []
+
+    def recorded(*args):
+        sols.append(decide_form(*args))
+        return sols[-1]
+
+    monkeypatch.setattr("cf3.frobenius.cyclic_form", scaled)
+    monkeypatch.setattr("cf3.frobenius.decide_form", recorded)
+    assert conjugate_commuting(commutant_basis(GOLDEN), GOLDEN) == ("refuted", None)
+    assert sols and all(s.verdict == "unsolvable" and s.certificate.modulus == 7
+                        for s in sols)
+    assert classify_fraction(GOLDEN) == "other"
 
 
 def test_conjugate_commuting_rejects_a_non_frobenius_reference():

@@ -1,11 +1,12 @@
 """Solver: box search, modular obstructions, and the quadratic cycle walk."""
 
 import random
+from dataclasses import replace
 from itertools import product
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cf3.commutant import basis_from_pair
@@ -13,10 +14,10 @@ from cf3.forms import (BinaryCubicForm, BinaryQF, TernaryCubicForm,
                        evaluate_form, product_form, q2, q3)
 from cf3.intmat import IntMat, is_irreducible
 from cf3.solver import (_GRID_CACHE, BINARY_CUBIC_EXPONENTS, BINARY_QUAD_EXPONENTS,
-                        TERNARY_CUBIC_EXPONENTS, Caps, Certificate, _grid, _rank,
-                        _residues_mod, _search_box_python, box_values, decide_product,
-                        decide_quadratic, grid_coords, grid_values, modular_obstruction,
-                        pell_decide, search_box)
+                        TERNARY_CUBIC_EXPONENTS, Caps, Certificate, Solvability,
+                        _content_certificate, _grid, _rank, _residues_mod, box_values,
+                        decide_form, decide_product, decide_quadratic, grid_coords,
+                        grid_values, modular_obstruction, pell_decide, search_box)
 
 A42 = IntMat([[1, 2, 0], [0, 1, 2], [-7, 0, 29]])
 GOLDEN = IntMat([[0, 1, 0], [0, 0, 1], [1, 2, -1]])
@@ -29,6 +30,19 @@ def b42():
 
 
 # ---------------------------------------------------------------- search_box
+
+def _search_box_python(coeffs, exponents, bound, targets):
+    """Oracle: the canonical order spelled out point by point."""
+    arity = len(exponents[0])
+    for shell in range(bound + 1):
+        vals = sorted(range(-shell, shell + 1), key=_rank)
+        for point in product(vals, repeat=arity):
+            if max(abs(v) for v in point) != shell:
+                continue
+            if evaluate_form(coeffs, exponents, point) in targets:
+                return point
+    return None
+
 
 def test_search_box_canonical_first_hit():
     # x^2 + y^2 == 1 has four solutions; canonical order prefers
@@ -100,6 +114,21 @@ def test_search_box_first_hit_past_the_first_passes(coeffs, exponents, first):
     assert search_box(coeffs, exponents, 3) is None
 
 
+@pytest.mark.parametrize("k, rung", [(11, 12), (21, 25)])
+def test_search_box_hit_within_a_rung_costs_no_more_than_its_box(monkeypatch, k, rung):
+    # n^2 (k n - m) first hits (k - 1, 1); passes ending at 1, 3, 7, 15, 31
+    # alone would evaluate box 15 for shell 10 and box 31 for shell 20
+    sizes = []
+
+    def counted(coeffs, exponents, coords):
+        sizes.append(len(coords[0]))
+        return grid_values(coeffs, exponents, coords)
+
+    monkeypatch.setattr("cf3.solver.grid_values", counted)
+    assert search_box((0, 0, -1, k), BINARY_CUBIC_EXPONENTS, 50) == ((k - 1, 1), 1)
+    assert sum(sizes) == (2 * rung + 1) ** 2
+
+
 @pytest.mark.parametrize("arity", [2, 3])
 def test_grid_prefix_is_canonical_order(arity):
     # the cache may hold a larger box; its first 9^arity points are box 4
@@ -131,6 +160,23 @@ def test_search_box_huge_coefficients_use_exact_path():
     point, value = found
     assert big * point[0] + (big - 1) * point[1] == value
     assert value in (1, -1)
+
+
+@pytest.mark.parametrize("coeffs, bound, expected", [
+    # n^2 (5n - m) + big m^2 (m - 4n), big = 10^17: off the line m = 4n the
+    # big term swamps the rest, on it the form is n^3, so the first unit
+    # value is (4, 1) on shell 4, in the third pass
+    ((10 ** 17, -4 * 10 ** 17, -1, 5), 7, ((4, 1), 1)),
+    # 2^59 m^3 + (5 2^59 + 1) n^3 never takes +-1, but at (3, 1) it is
+    # 2^64 + 1, which int64 arithmetic wraps to a false hit
+    ((2 ** 59, 0, 0, 5 * 2 ** 59 + 1), 3, None),
+])
+def test_search_box_switches_to_exact_integers_per_pass(coeffs, bound, expected):
+    # the int64 guard holds on shell 1 and fails from shell 3 on
+    weight = sum(abs(c) for c in coeffs)
+    assert weight < 2 ** 62 <= weight * 3 ** 3
+    assert _python_answer(coeffs, BINARY_CUBIC_EXPONENTS, bound) == expected
+    assert search_box(coeffs, BINARY_CUBIC_EXPONENTS, bound) == expected
 
 
 # ---------------------------------------------------------------- obstructions
@@ -380,6 +426,58 @@ def test_product_unknown_with_tiny_caps():
     assert r.verdict == "unknown"
     assert r.search_bound == 0
     assert r.modulus_cap == 1
+
+
+def _ladder_decide_product(pf, caps):
+    """Oracle: the interleaved box ladder, each factor searched box by box
+    until both have a witness, then obstructed in turn."""
+    if pf.content > 1:
+        return _content_certificate(pf.content)
+    factors = [
+        [pf.mn_primitive, BINARY_CUBIC_EXPONENTS, "binary factor", None],
+        [pf.xyz_primitive, TERNARY_CUBIC_EXPONENTS, "ternary factor", None],
+    ]
+    cap = caps.modulus_cap
+    for box in caps.ladder:
+        for fac in factors:
+            if fac[3] is None:
+                fac[3] = search_box(fac[0], fac[1], box)
+        if all(fac[3] is not None for fac in factors):
+            witness = factors[1][3][0] + factors[0][3][0]
+            value = pf.evaluate(*witness[:3], *witness[3:])
+            return Solvability("solvable", witness=witness, value=value,
+                               search_bound=box)
+    for fac in factors:
+        if fac[3] is None:
+            cert = modular_obstruction(fac[0], fac[1], cap)
+            if cert is not None:
+                return Solvability("unsolvable", certificate=replace(cert, detail=fac[2]),
+                                   search_bound=box, modulus_cap=cap)
+    return Solvability("unknown", search_bound=box, modulus_cap=cap)
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(st.lists(st.integers(-6, 6), min_size=4, max_size=4),
+       st.lists(st.integers(-6, 6), min_size=10, max_size=10),
+       st.sampled_from((0, 1, 5, 12, 13, 30)), st.sampled_from((0, 10, 30)))
+# n^2 (14n - m) first hits on shell 13, x^3 on shell 1: the rungs differ
+@example([0, 0, -1, 14], [1] + [0] * 9, 30, 10)
+def test_decide_product_matches_the_ladder(binary, ternary, box, modulus_cap):
+    if not any(binary) or not any(ternary):
+        return
+    pf = product_form(BinaryCubicForm(*binary), TernaryCubicForm(tuple(ternary)))
+    caps = Caps(box=box, modulus_cap=modulus_cap)
+    assert decide_product(pf, caps) == _ladder_decide_product(pf, caps)
+
+
+def test_decide_form_reports_the_rung_of_the_witness():
+    # n^2 (5n - m) first hits on shell 4: rung 5 of box 5, rung 12 of box 30
+    coeffs = (0, 0, -1, 5)
+    assert decide_form(coeffs, BINARY_CUBIC_EXPONENTS, Caps(box=5)).search_bound == 5
+    sol = decide_form(coeffs, BINARY_CUBIC_EXPONENTS, Caps(box=30))
+    assert (sol.verdict, sol.witness, sol.search_bound) == ("solvable", (4, 1), 12)
+    sol = decide_form(coeffs, BINARY_CUBIC_EXPONENTS, Caps(box=3))
+    assert (sol.verdict, sol.search_bound, sol.modulus_cap) == ("unknown", 3, 100)
 
 
 def test_config_defaults():
