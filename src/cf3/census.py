@@ -148,7 +148,7 @@ def census(n, dim=3, cap=DEFAULT_NORM_CAP):
     """Counts of irreducible and hyperbolic matrices at norm exactly n.
 
     The cap guards against accidental huge runs (the norm-8 sphere in Z^9
-    already has ~1.7 million points); raise it explicitly to go further.
+    already has 374,274 points); raise it explicitly to go further.
     """
     if n > cap:
         raise ValueError(

@@ -13,6 +13,15 @@ of the section, both divisions exact.  The canonical (A, B) is the Hermite
 basis of (w1, w2); it depends only on the lattice.  B = alpha*A^2 + beta*A
 + gamma*E comes from Cramer's rule on first columns and one integer check;
 only (alpha, beta, gamma) are rationals.
+
+Both Hermite forms are read in closed form.  With p = flat C' and
+q = flat C2', an xgcd chain over the nonzero p_i gives h11 = gcd(p_i) and a
+lattice row (h11, h12'); each row (p_i, q_i) is (p_i/h11)*(h11, h12') plus
+(0, q_i - (p_i/h11)*h12'), so h22 is the gcd of those second entries and
+h12 = h12' mod h22.  The Hermite pair of (w1, w2) is one xgcd step on their
+first nonzero column, a positive pivot for the second row, and the first
+row reduced against it.  Hermite forms are unique, so both agree with the
+generic reduction zlinalg.hnf_basis, which normalize_basis still uses.
 """
 
 from __future__ import annotations
@@ -20,10 +29,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from math import gcd
 
 from .intmat import IntMat, is_irreducible
 # solve_unique has no caller here; the benchmark's tracer wraps it by this name
-from .zlinalg import coords_in_basis, hnf_basis, solve_unique  # noqa: F401
+from .zlinalg import coords_in_basis, hnf_basis, solve_unique, xgcd  # noqa: F401
 
 _E = IntMat.identity(3)
 _E_FLAT = _E.flat()
@@ -34,7 +44,7 @@ class CommutantError(ValueError):
 
 
 def _matrix(flat):
-    return IntMat((flat[0:3], flat[3:6], flat[6:9]))
+    return IntMat._of((tuple(flat[0:3]), tuple(flat[3:6]), tuple(flat[6:9])))
 
 
 def commutant_lattice(c):
@@ -100,12 +110,6 @@ def express_in_powers(a, b):
     return (Fraction(na, d), Fraction(nb, d), Fraction(nc, d))
 
 
-def _section_basis(c, section):
-    """CommutantBasis with (A, B) the Hermite basis of the flat rows ``section``."""
-    a, b = (_matrix(flat) for flat in hnf_basis(section))
-    return CommutantBasis(c=c, a=a, b=b)
-
-
 def normalize_basis(raw, c):
     """The canonical (E, A, B) shape of the lattice spanned by ``raw``.
 
@@ -114,8 +118,25 @@ def normalize_basis(raw, c):
     is the canonical pair (A, B).  ``raw`` must span a lattice containing E.
     """
     assert c.dim == 3, "normalized (E, A, B) bases are a 3x3 notion"
-    return _section_basis(c, [[x - m.rows[0][0] * e for x, e in zip(m.flat(), _E_FLAT)]
-                              for m in raw])
+    a, b = (_matrix(flat) for flat in hnf_basis(
+        [[x - m.rows[0][0] * e for x, e in zip(m.flat(), _E_FLAT)] for m in raw]))
+    return CommutantBasis(c=c, a=a, b=b)
+
+
+def _hermite_pair(w1, w2):
+    """Hermite basis of the rank-2 lattice spanned by the flat rows w1, w2:
+    one xgcd step on their first nonzero column, a positive second pivot,
+    and the first row reduced against it."""
+    j = next(k for k, (x, y) in enumerate(zip(w1, w2)) if x or y)
+    g, s, t = xgcd(w1[j], w2[j])
+    u, v = w1[j] // g, w2[j] // g
+    r1 = [s * x + t * y for x, y in zip(w1, w2)]
+    r2 = [u * y - v * x for x, y in zip(w1, w2)]
+    k = next(k for k, x in enumerate(r2) if x)
+    if r2[k] < 0:
+        r2 = [-x for x in r2]
+    m = r1[k] // r2[k]
+    return [x - m * y for x, y in zip(r1, r2)], r2
 
 
 def commutant_basis(c):
@@ -126,9 +147,16 @@ def commutant_basis(c):
     c2 = c @ c
     p = [x - c.rows[0][0] * e for x, e in zip(c.flat(), _E_FLAT)]
     q = [x - c2.rows[0][0] * e for x, e in zip(c2.flat(), _E_FLAT)]
-    (h11, h12), (_, h22) = hnf_basis(list(zip(p, q)))
-    return _section_basis(c, [[x // h11 for x in p],
-                              [(h11 * y - h12 * x) // (h11 * h22) for x, y in zip(p, q)]])
+    h11 = h12 = 0
+    for x, y in zip(p, q):
+        if x:
+            h11, s, t = xgcd(h11, x)
+            h12 = s * h12 + t * y
+    h22 = gcd(*(y - x // h11 * h12 for x, y in zip(p, q)))
+    h12 %= h22
+    a, b = _hermite_pair([x // h11 for x in p],
+                         [(h11 * y - h12 * x) // (h11 * h22) for x, y in zip(p, q)])
+    return CommutantBasis(c=c, a=_matrix(a), b=_matrix(b))
 
 
 def basis_from_pair(c, a, b):

@@ -574,10 +574,7 @@ def _solve_cell(l1, l2, w):
 
 def _unit_pool(form, box):
     # Points of the box where the determinant form is +-1, lexicographically,
-    # each with its form value.
-    if sum(abs(c) for c in form.coeffs) * max(1, box) ** 3 >= 2**62:
-        raise CoverageError("determinant form values at unit box %d may overflow "
-                            "int64" % box)
+    # each with its form value.  The caller rules out int64 overflow.
     side = np.arange(-box, box + 1, dtype=np.int64)
     val = box_values(form.coeffs, TERNARY_CUBIC_EXPONENTS, side).ravel()
     hits = np.flatnonzero(np.abs(val) == 1)
@@ -665,6 +662,9 @@ def dirichlet_generators(cone):
     ``certified`` means: every totally positive unit whose eigenvalue logs
     fit in the covering radius of the returned pair had coordinates inside
     the searched box, so the pair generates the whole positive unit group.
+    The boxes of UNIT_BOXES are searched while the determinant form's values
+    provably fit int64; past that, the last pair found is returned
+    uncertified, and without one CoverageError is raised.
     """
     c = cone.c
     units = _Units(c, cone.roots)
@@ -672,6 +672,11 @@ def dirichlet_generators(cone):
     result = None
     pool = []
     for inner, box in zip((0,) + UNIT_BOXES, UNIT_BOXES):
+        if sum(map(abs, form.coeffs)) * box ** 3 >= 2 ** 62:
+            if result is not None:
+                break
+            raise CoverageError("determinant form values at unit box %d may overflow "
+                                "int64" % box)
         # the pool of the inner box carries over: test only the new shells
         for coords, det in _unit_pool(form, box):
             if (_norm_inf(coords) > inner and coords != (1, 0, 0)

@@ -6,7 +6,8 @@ Three engines, in increasing specificity:
   (shells of growing max-norm, then lexicographic with the per-coordinate
   value order 0 < 1 < -1 < 2 < -2 < ...), evaluated pass by pass in int64
   while every product provably fits and in exact integers past that, hits
-  re-checked exactly;
+  re-checked exactly.  The passes inside box 7 are one product of a cached
+  monomial table with the coefficients; later passes evaluate the grid;
 * modular_obstruction: the smallest modulus q where the form's residue set
   misses both 1 and -1, which certifies unsolvability.  Only prime powers
   are scanned: for an odd form the smallest obstructing modulus is one.
@@ -158,28 +159,63 @@ def _grid(arity, bound):
     return _GRID_CACHE[arity][1]
 
 
+_TABLE_BOX = 7   # the third pass of search_box ends here
+_TABLE_CACHE = {}
+
+
+def _monomial_table(exponents, bound):
+    """Monomial values on the canonical grid prefix of box min(bound,
+    _TABLE_BOX), as an int64 (points x monomials) array.
+
+    Like _GRID_CACHE, one table per exponent table serves every smaller box
+    and only a larger box rebuilds it.  The monomials are computed exactly
+    and raise OverflowError rather than wrap if one does not fit int64.
+    """
+    box = min(bound, _TABLE_BOX)
+    if exponents not in _TABLE_CACHE or _TABLE_CACHE[exponents][0] < box:
+        arity = len(exponents[0])
+        cols = [g[:(2 * box + 1) ** arity].astype(object) for g in _grid(arity, box)]
+        table = np.column_stack([grid_values((1,), (exps,), cols) for exps in exponents])
+        _TABLE_CACHE[exponents] = (box, table.astype(np.int64))
+    return _TABLE_CACHE[exponents][1]
+
+
+def _pass_values(coeffs, exponents, table, coords, start, end, exact):
+    """The form on the canonical grid points start:end, in int64, or in exact
+    integers when ``exact``.  Inside the monomial table a pass is one
+    product with the coefficients; past it, grid_values on the coordinates.
+    """
+    if end <= len(table):
+        rows = table[start:end]
+        return rows.astype(object) @ np.array(coeffs, dtype=object) if exact else rows @ coeffs
+    cols = [g[start:end] for g in coords]
+    return grid_values(coeffs, exponents, [g.astype(object) for g in cols] if exact else cols)
+
+
 def search_box(coeffs, exponents, bound, targets=UNIT_TARGETS):
     """First point, in canonical order, where the form hits a target value.
 
     Returns (point, value) or None.  The new points of shells <= 1, 3, 7,
     ..., bound are evaluated pass by pass, and the search stops at the
     first pass with a hit.  Passes also end at the rungs of BOX_LADDER, so
-    a hit within rung b costs no more than a search of box b.  A pass runs
-    in int64 when every intermediate product on its shells provably fits,
-    and on exact Python integers otherwise.  Hits are re-verified exactly.
+    a hit within rung b costs no more than a search of box b.  The passes
+    inside box _TABLE_BOX read a cached monomial table.  A pass runs in int64
+    when every intermediate product on its shells provably fits, and on
+    exact Python integers otherwise.  Hits are re-verified exactly.
     """
     coeffs = tuple(map(int, coeffs))
     degree = max(map(sum, exponents))
     weight = sum(map(abs, coeffs))
     coords = _grid(len(exponents[0]), bound)
+    table = _monomial_table(exponents, bound)
     start, shell = 0, min(1, bound)
     while True:
         end = (2 * shell + 1) ** len(coords)
-        cols = [g[start:end] for g in coords]
-        if max(weight * max(1, shell) ** degree, *map(abs, targets)) >= 2 ** 62:
-            cols = [g.astype(object) for g in cols]
-        total = grid_values(coeffs, exponents, cols)
-        mask = np.logical_or.reduce([total == t for t in targets])
+        exact = max(weight * max(1, shell) ** degree, *map(abs, targets)) >= 2 ** 62
+        total = _pass_values(coeffs, exponents, table, coords, start, end, exact)
+        mask = total == targets[0]
+        for t in targets[1:]:
+            mask |= total == t
         k = int(mask.argmax())
         if mask[k]:
             point = tuple(int(g[start + k]) for g in coords)

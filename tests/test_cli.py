@@ -174,8 +174,9 @@ def test_sail_unit_box_cap_exits_3(capsys):
 
 
 def test_sail_int64_unit_box_exits_3(capsys):
-    # the determinant form's coefficients leave no int64 headroom at box 32
-    code, _, err = run_cli(capsys, "sail", "--matrix", "0,1,0;300,-89400,26819701;1,-298,89399")
+    # the determinant form's coefficients leave no int64 headroom at box 4,
+    # so the unit ladder stops before any pair is found
+    code, _, err = run_cli(capsys, "sail", "--matrix", "0,1,0;1000,-998000,997999001;1,-998,997999")
     assert code == 3
     assert "may overflow int64" in err
 

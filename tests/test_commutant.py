@@ -2,7 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from cf3 import commutant
@@ -224,6 +224,35 @@ def test_closed_form_basis_matches_kernel_oracle(entries):
     nb = commutant_basis(c)
     assert nb == normalize_basis(kernel_lattice(c), c)
     assert nb.reconstruct_b() == tuple(tuple(Fraction(x) for x in row) for row in nb.b.rows)
+
+
+def two_hermite_oracle(c):
+    """Reference (A, B): the section basis of the module docstring with both
+    Hermite forms taken by the generic reduction hnf_basis."""
+    c2 = c @ c
+    p = [x - c.rows[0][0] * e for x, e in zip(c.flat(), E3.flat())]
+    q = [x - c2.rows[0][0] * e for x, e in zip(c2.flat(), E3.flat())]
+    (h11, h12), (_, h22) = hnf_basis(list(zip(p, q)))
+    pair = hnf_basis([[x // h11 for x in p],
+                      [(h11 * y - h12 * x) // (h11 * h22) for x, y in zip(p, q)]])
+    return tuple(IntMat([v[0:3], v[3:6], v[6:9]]) for v in pair)
+
+
+# entries up to 2^40, with zeros and repeated diagonal entries, so that the
+# section column C - c11*E often has zero entries for the xgcd chain to skip
+BIG_ENTRY = st.one_of(st.integers(-2, 2), st.integers(-2**40, 2**40))
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(st.lists(BIG_ENTRY, min_size=9, max_size=9))
+@example([0, 1, 0, 0, 0, 1, 1, 2, -1])
+@example([1, 2, 0, 0, 1, 2, -7, 0, 29])
+@example([2**40, 0, 1, 1, 2**40, 0, 0, 1, 2**40 + 3])
+def test_closed_form_hermite_pair_matches_two_reductions(entries):
+    c = IntMat([entries[0:3], entries[3:6], entries[6:9]])
+    assume(is_irreducible(c))
+    nb = commutant_basis(c)
+    assert (nb.a, nb.b) == two_hermite_oracle(c)
 
 
 def unimodular_with_first_row(v):

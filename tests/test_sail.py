@@ -12,7 +12,7 @@ from cf3.acceptance import SEED, SL3_SAMPLE, _random_sl3, conjugate_by
 from cf3.commutant import commutant_basis
 from cf3.forms import TERNARY_CUBIC_EXPONENTS, det_form
 from cf3.frobenius import REFERENCE_PARAMS
-from cf3.intmat import CharCubic, IntMat, adjugate, char_cubic
+from cf3.intmat import CharCubic, IntMat, adjugate, char_cubic, parse_matrix
 from cf3.roots import (
     isolate_real_roots,
     poly_add,
@@ -456,6 +456,13 @@ def test_dirichlet_generators_frozen(c, g1, g2, certified, box):
     group = dirichlet_generators(eigen_cone(c))
     assert (group.g1.rows, group.g2.rows, group.certified, group.box) == (
         g1, g2, certified, box)
+
+
+def test_dirichlet_generators_stops_at_the_last_box_that_fits_int64():
+    # the determinant form's values may overflow int64 at box 32; box 16
+    # already holds an uncertified pair, which is returned
+    group = dirichlet_generators(eigen_cone(parse_matrix("0,1,0;300,-89400,26819701;1,-298,89399")))
+    assert (group.certified, group.box) == (False, 16)
 
 
 ELEMENTARY = st.tuples(st.sampled_from([(i, j) for i in range(3) for j in range(3) if i != j]),

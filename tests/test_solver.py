@@ -13,11 +13,12 @@ from cf3.commutant import basis_from_pair
 from cf3.forms import (BinaryCubicForm, BinaryQF, TernaryCubicForm,
                        evaluate_form, product_form, q2, q3)
 from cf3.intmat import IntMat, is_irreducible
-from cf3.solver import (_GRID_CACHE, BINARY_CUBIC_EXPONENTS, BINARY_QUAD_EXPONENTS,
-                        TERNARY_CUBIC_EXPONENTS, Caps, Certificate, Solvability,
-                        _content_certificate, _grid, _rank, _residues_mod, box_values,
-                        decide_form, decide_product, decide_quadratic, grid_coords,
-                        grid_values, modular_obstruction, pell_decide, search_box)
+from cf3.solver import (_GRID_CACHE, _TABLE_CACHE, BINARY_CUBIC_EXPONENTS,
+                        BINARY_QUAD_EXPONENTS, TERNARY_CUBIC_EXPONENTS, Caps, Certificate,
+                        Solvability, _content_certificate, _grid, _pass_values, _rank,
+                        _residues_mod, box_values, decide_form, decide_product,
+                        decide_quadratic, grid_coords, grid_values, modular_obstruction,
+                        pell_decide, search_box)
 
 A42 = IntMat([[1, 2, 0], [0, 1, 2], [-7, 0, 29]])
 GOLDEN = IntMat([[0, 1, 0], [0, 0, 1], [1, 2, -1]])
@@ -120,11 +121,11 @@ def test_search_box_hit_within_a_rung_costs_no_more_than_its_box(monkeypatch, k,
     # alone would evaluate box 15 for shell 10 and box 31 for shell 20
     sizes = []
 
-    def counted(coeffs, exponents, coords):
-        sizes.append(len(coords[0]))
-        return grid_values(coeffs, exponents, coords)
+    def counted(coeffs, exponents, table, coords, start, end, exact):
+        sizes.append(end - start)
+        return _pass_values(coeffs, exponents, table, coords, start, end, exact)
 
-    monkeypatch.setattr("cf3.solver.grid_values", counted)
+    monkeypatch.setattr("cf3.solver._pass_values", counted)
     assert search_box((0, 0, -1, k), BINARY_CUBIC_EXPONENTS, 50) == ((k - 1, 1), 1)
     assert sum(sizes) == (2 * rung + 1) ** 2
 
@@ -151,6 +152,41 @@ def test_search_box_reads_a_prefix_of_a_larger_grid():
         assert _GRID_CACHE[a][0] == 50
     assert [search_box(c, CUBIC_EXPONENTS[a], 12) for c, a in forms] == fresh
     assert all(_GRID_CACHE[a][0] == 50 for a in (2, 3))
+
+
+def test_search_box_rebuilds_a_short_monomial_table():
+    # box 4 builds the table prefix of box 4, box 50 the one of box 7;
+    # each form's first hit lies on shell 6, past the shorter prefix
+    forms = [((0, 0, -1, 7), BINARY_CUBIC_EXPONENTS),
+             ((0, 0, 7, 0, 0, 0, -1, 0, 0, 0), TERNARY_CUBIC_EXPONENTS)]
+    _GRID_CACHE.clear()
+    _TABLE_CACHE.clear()
+    for bound, box in ((4, 4), (50, 7)):
+        for coeffs, exponents in forms:
+            assert search_box(coeffs, exponents, bound) == _python_answer(coeffs, exponents, bound)
+            assert len(_TABLE_CACHE[exponents][1]) == (2 * box + 1) ** len(exponents[0])
+    assert [search_box(c, e, 50)[0] for c, e in forms] == [(6, 1), (6, 0, 1)]
+
+
+# small coefficients, and ones near the int64 guard: the switch to exact
+# integers then happens on a pass inside the monomial table
+NEAR_GUARD = st.one_of(st.integers(-3, 3), st.integers(-2**61, 2**61))
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(st.lists(NEAR_GUARD, min_size=4, max_size=4), st.integers(0, 9))
+@example([2**59, 0, 0, 5 * 2**59 + 1], 3)
+@example([2**61, 2**61, 0, 1], 7)
+def test_search_box_near_the_int64_guard_matches_python(coeffs, bound):
+    assert search_box(coeffs, BINARY_CUBIC_EXPONENTS, bound) == \
+        _python_answer(coeffs, BINARY_CUBIC_EXPONENTS, bound)
+
+
+@settings(derandomize=True, max_examples=25, deadline=None)
+@given(st.lists(NEAR_GUARD, min_size=10, max_size=10), st.integers(0, 7))
+def test_search_box_ternary_near_the_int64_guard_matches_python(coeffs, bound):
+    assert search_box(coeffs, TERNARY_CUBIC_EXPONENTS, bound) == \
+        _python_answer(coeffs, TERNARY_CUBIC_EXPONENTS, bound)
 
 
 def test_search_box_huge_coefficients_use_exact_path():
