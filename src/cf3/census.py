@@ -68,11 +68,6 @@ def _sphere(length, n):
     return rows(length, n)
 
 
-def vectors_with_norm(length, n):
-    """All integer vectors of the given L1 norm, in canonical order."""
-    return map(tuple, _sphere(length, n).tolist())
-
-
 def sphere_size(length, n):
     """Closed-form count of integer vectors with L1 norm exactly n."""
     if n == 0:
@@ -90,11 +85,6 @@ def _matrix_sphere(dim, n):
     if dim not in (2, 3):
         raise ValueError("dim must be 2 or 3")
     return _sphere(dim * dim, n)
-
-
-def enumerate_norm(dim, n):
-    """Every dim x dim integer matrix of norm exactly n, each exactly once."""
-    return map(matrix_from_flat, _matrix_sphere(dim, n).tolist())
 
 
 def _tag_code(c):

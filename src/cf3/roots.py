@@ -28,13 +28,6 @@ def poly_degree(p):
     return len(p) - 1
 
 
-def poly_eval(p, x):
-    acc = 0
-    for c in p:
-        acc = acc * x + c
-    return acc
-
-
 def poly_derivative(p):
     p = poly_strip(p)
     n = len(p) - 1

@@ -13,6 +13,16 @@ bounds from refining until an interval evaluation excludes zero, and float
 evaluations (correctly rounded integer divisions) carry rigorous error
 bounds from the same enclosures, with anything inside the error band
 decided exactly.
+
+Most enumerated lattice points cannot touch the sail.  A cone point p is
+dominated by a cone point v when p - v lies in the open cone; a face normal
+N is positive on the rays, so N.p = N.v + N.(p - v) > N.v, and a dominated
+point is never on or below a face plane.  ``compute_sail`` therefore hands
+Qhull only the points that no small cone point provably dominates, and
+certifies a candidate whose corner box lies inside the radius by one
+product over those points.  The unit search likewise evaluates the odd
+determinant form on the half box x >= 0 only: N(-v) = -N(v), so every +-1
+pair is seen there, and N(v) * v is its one member of determinant 1.
 """
 
 import math
@@ -29,7 +39,6 @@ from .roots import (
     interval_eval,
     isolate_real_roots,
     poly_add,
-    poly_mod,
     poly_mul,
     poly_scale,
     poly_strip,
@@ -44,6 +53,8 @@ FACE_BOX_CAP = 512
 UNIT_BOXES = (4, 8, 16, 32)
 RADIUS_LADDER = (16, 32, 64, 128, 256)
 CELL_BAND = 1e-6
+DOMINATORS = 8  # the cone points of least L1 norm that the hull filter subtracts
+SLAB = 1 << 14  # rows per slab of box points: about one box slice at radius 64
 
 
 class _Roots:
@@ -108,11 +119,13 @@ def _char_adjugate(c):
 
 
 def _combo_poly(polys, vector):
-    acc = ()
+    """The integer polynomial sum of x * p over ``polys`` and ``vector``."""
+    width = max(map(len, polys))
+    acc = [0] * width
     for p, x in zip(polys, vector):
-        if x:
-            acc = poly_add(acc, poly_scale(p, x))
-    return acc
+        for k, c in enumerate(p, width - len(p)):
+            acc[k] += x * c
+    return poly_strip(acc)
 
 
 @dataclass(eq=False)
@@ -154,7 +167,10 @@ class EigenCone:
             enc = self.dual_enclosures()
             mids = np.array([[(lo + hi) / (2 << k) for lo, hi, k in row] for row in enc])
             widths = np.array([[(hi - lo) / (1 << k) for lo, hi, k in row] for row in enc])
-            return mids, widths * 0.51 + 2.3e-16 * np.abs(mids)
+            # the error weight of each coordinate: half the enclosure width
+            # with room to spare, plus, relative to |mids|, the rounding of
+            # the midpoint and of a three-term dot product
+            return mids, widths * 0.51 + 6.3e-15 * np.abs(mids)
         return self.roots.cached("float", build)
 
     def dual_sign(self, i, v):
@@ -165,23 +181,31 @@ class EigenCone:
         """Exact strict-interior test for an integer vector."""
         return all(self.dual_sign(i, v) > 0 for i in range(3))
 
-    def interior_mask(self, pts):
-        """Boolean mask of strict interiority for an (n, 3) integer array.
-
-        Float evaluations decide points whose distance from every eigenplane
-        exceeds a rigorous error bound; the rest are resolved exactly.
+    def eigen_values(self, pts):
+        """Float eigenplane values at the points of an (n, 3) integer array,
+        with rigorous error bounds: lists ``val`` and ``err`` of three
+        length-n arrays, where the exact value of functional i at a point
+        lies within err[i] of val[i], both taken as the computed floats.
         """
         mids, rads = self._float_duals()
         a = pts.astype(np.float64)
         aa = np.abs(a)
+        val = [a @ mids[i] for i in range(3)]
+        err = [aa @ rads[i] + 1e-307 for i in range(3)]
+        return val, err
+
+    def interior_mask(self, pts):
+        """Boolean mask of strict interiority for an (n, 3) integer array.
+
+        The float bounds decide every point that they place inside the cone
+        or beyond one eigenplane; the rest are resolved exactly.
+        """
         inside = np.ones(len(pts), dtype=bool)
-        uncertain = np.zeros(len(pts), dtype=bool)
-        for i in range(3):
-            val = a @ mids[i]
-            err = aa @ rads[i] + 6e-15 * (aa @ np.abs(mids[i])) + 1e-307
+        outside = np.zeros(len(pts), dtype=bool)
+        for val, err in zip(*self.eigen_values(pts)):
             inside &= val > err
-            uncertain |= np.abs(val) <= err
-        for idx in np.nonzero(uncertain)[0]:
+            outside |= val < -err
+        for idx in np.flatnonzero(~(inside | outside)):
             inside[idx] = self.contains(tuple(int(x) for x in pts[idx]))
         return inside
 
@@ -254,13 +278,17 @@ class SailComplex:
 
 
 def _box_slices(bound):
+    """The box of ``bound`` in lexicographic order, as slabs of whole
+    x-slices holding at most SLAB points, or one slice when it is larger."""
     rng = np.arange(-bound, bound + 1, dtype=np.int64)
     yz = np.stack(np.meshgrid(rng, rng, indexing="ij"), axis=-1).reshape(-1, 2)
-    for x0 in rng:
-        pts = np.empty((len(yz), 3), dtype=np.int64)
-        pts[:, 0] = x0
-        pts[:, 1:] = yz
-        yield pts
+    step = max(1, SLAB // len(yz))
+    for start in range(0, len(rng), step):
+        xs = rng[start:start + step]
+        pts = np.empty((len(xs), len(yz), 3), dtype=np.int64)
+        pts[:, :, 0] = xs[:, None]
+        pts[:, :, 1:] = yz
+        yield pts.reshape(-1, 3)
 
 
 def _cone_points(cone, bound):
@@ -272,6 +300,39 @@ def _cone_points(cone, bound):
     if not found:
         return np.empty((0, 3), dtype=np.int64)
     return np.vstack(found)
+
+
+def _undominated(cone, pts):
+    """The points of ``pts`` that no dominator provably dominates, in order.
+
+    A cone point p is dominated by a cone point v when p - v lies in the
+    open cone, that is when every eigenplane value at p exceeds the one at
+    v.  The dominators are the DOMINATORS points of ``pts`` of least L1
+    norm.  The test compares the lower float bound val - err at p with an
+    upper float bound at v, so a point it does not prove dominated is kept;
+    the bounds are built in slabs of SLAB rows.
+    """
+    # the least keys (L1 norm, position), each an L1 norm times len(pts)
+    # plus the position, so that ties break by enumeration order
+    a = np.abs(pts)
+    key = (a[:, 0] + a[:, 1] + a[:, 2]) * len(pts) + np.arange(len(pts))
+    if len(pts) > DOMINATORS:
+        key = np.partition(key, DOMINATORS - 1)[:DOMINATORS]
+    small = pts[key % len(pts)]
+    # val + err rounded, then one ulp up: an upper bound at each dominator.
+    # Rounding is monotone, so a rounded val - err above it proves the
+    # exact val - err above it too.
+    tops = [np.nextafter(val + err, np.inf).tolist()
+            for val, err in zip(*cone.eigen_values(small))]
+    kept = []
+    for start in range(0, len(pts), SLAB):
+        chunk = pts[start:start + SLAB]
+        lows = [val - err for val, err in zip(*cone.eigen_values(chunk))]
+        dominated = np.zeros(len(chunk), dtype=bool)
+        for t0, t1, t2 in zip(*tops):
+            dominated |= (lows[0] > t0) & (lows[1] > t1) & (lows[2] > t2)
+        kept.append(chunk[~dominated])
+    return np.vstack(kept)
 
 
 def _strip_points(normal, offset, bound):
@@ -359,20 +420,29 @@ def _convex_polygon(points, normal):
     return _orbit_key(cycle), total
 
 
-def _certify_face(cone, normal, offset, box_cap=FACE_BOX_CAP):
+def _certify_face(cone, normal, offset, box_cap=FACE_BOX_CAP, known=None):
     """Certify a candidate sail plane globally and cut its full polygon.
 
     Returns a Face when no cone lattice point lies strictly below the plane
     anywhere (not just within the discovery radius); None when the plane is
     a truncation artifact or its certification box exceeds ``box_cap``.
+
+    Every cone point on or below the plane lies in the corner box.  With
+    ``known`` = (radius, pts), where pts holds every cone point of the box
+    of that radius except some dominated ones, a corner box inside that
+    box is decided by one product over pts.  A point p dominated by v has
+    N.p > N.v for a normal N positive on the rays, so the least value of N
+    on the box and every point attaining it are in pts.  Otherwise the
+    slab of the corner box is walked.
     """
     roots = cone.roots
-    combos = []
-    for i in range(3):
-        combo = poly_mod(_combo_poly(cone.rays[i], normal), roots.chi)
-        if roots.sign(combo, i) <= 0:
+    combos = [_combo_poly(cone.rays[i], normal) for i in range(3)]
+    for i, combo in enumerate(combos):
+        # N must be positive on every ray; an enclosure that excludes zero
+        # decides the sign without the exact test
+        lo, hi, _ = roots.enclose(combo, i)
+        if hi < 0 or (lo <= 0 and roots.sign(combo, i) <= 0):
             return None
-        combos.append(combo)
     corner = 0
     for i in range(3):
         plo, _, e = roots.positive(combos[i], i, "pairing")
@@ -381,14 +451,20 @@ def _certify_face(cone, normal, offset, box_cap=FACE_BOX_CAP):
     bound = corner + 2
     if bound > box_cap:
         return None
-    plane_pts = []
-    for pts, w in _strip_points(normal, offset, bound):
-        mask = cone.interior_mask(pts)
-        if (mask & (w < offset)).any():
+    if known is not None and bound <= known[0]:
+        w = known[1] @ np.array(normal, dtype=np.int64)
+        if (w < offset).any():
             return None
-        on = mask & (w == offset)
-        if on.any():
-            plane_pts.extend(tuple(int(x) for x in p) for p in pts[on])
+        plane_pts = list(map(tuple, known[1][w == offset].tolist()))
+    else:
+        plane_pts = []
+        for pts, w in _strip_points(normal, offset, bound):
+            mask = cone.interior_mask(pts)
+            if (mask & (w < offset)).any():
+                return None
+            on = mask & (w == offset)
+            if on.any():
+                plane_pts.extend(tuple(int(x) for x in p) for p in pts[on])
     cycle, area2 = _convex_polygon(plane_pts, normal)
     if cycle is None:
         return None
@@ -399,10 +475,12 @@ def _certify_face(cone, normal, offset, box_cap=FACE_BOX_CAP):
 def compute_sail(cone, radius):
     """Certified sail faces discovered from lattice points within ``radius``.
 
-    Candidate planes come from the convex hull of the enumerated points; each
-    kept face is re-certified exactly against the whole cone, so its polygon
-    and area do not depend on the radius.  Faces already certified at a
-    smaller radius are certified again at any larger one.
+    Candidate planes come from the convex hull of the enumerated points that
+    no small cone point dominates (``_undominated``), or of all of them when
+    those are degenerate; each kept face is re-certified exactly against the
+    whole cone, so its polygon and area do not depend on the radius.  Faces
+    already certified at a smaller radius are certified again at any larger
+    one.
     """
     # scipy is imported here, its only use, so that importing cf3 skips Qhull
     from scipy.spatial import ConvexHull, QhullError
@@ -413,16 +491,19 @@ def compute_sail(cone, radius):
     if len(pts) == 0:
         raise CoverageError(
             "no lattice point in the cone within radius %d; increase radius" % radius)
-    empty = SailComplex(cone=cone, radius=radius, faces=(), vertices=(), edges=())
-    if len(pts) < 4:
-        return empty
-    try:
-        hull = ConvexHull(pts.astype(np.float64))
-    except QhullError:
-        return empty
+    for cloud in (_undominated(cone, pts), pts):
+        if len(cloud) < 4:
+            continue
+        try:
+            hull = ConvexHull(cloud.astype(np.float64))
+            break
+        except QhullError:
+            continue
+    else:
+        return SailComplex(cone=cone, radius=radius, faces=(), vertices=(), edges=())
     # |coordinates| <= radius <= 256 (RADIUS_LADDER), so |normal| <= 8 * 256^2
     # and |offset| <= 24 * 256^3: both fit int64 with room to spare.
-    p0, p1, p2 = (pts[hull.simplices[:, k]] for k in range(3))
+    p0, p1, p2 = (cloud[hull.simplices[:, k]] for k in range(3))
     normals = np.cross(p1 - p0, p2 - p0)
     offsets = np.einsum("ij,ij->i", normals, p0)
     keep = offsets != 0
@@ -433,12 +514,12 @@ def compute_sail(cone, radius):
     normals, offsets = normals // g[:, None], offsets // g
     # Simplex corners are hull vertices, so a plane no hull vertex lies below
     # is a candidate; any cone point strictly below it fails certification.
-    support = (pts[hull.vertices] @ normals.T).min(axis=0) == offsets
+    support = (cloud[hull.vertices] @ normals.T).min(axis=0) == offsets
     faces = []
     for n, d in dict.fromkeys(zip(map(tuple, normals[support].tolist()),
                                   offsets[support].tolist())):
         if (n, d) not in cone.face_cache:
-            cone.face_cache[(n, d)] = _certify_face(cone, n, d)
+            cone.face_cache[(n, d)] = _certify_face(cone, n, d, known=(radius, cloud))
         face = cone.face_cache[(n, d)]
         if face is not None:
             faces.append(face)
@@ -573,13 +654,22 @@ def _solve_cell(l1, l2, w):
 
 
 def _unit_pool(form, box):
-    # Points of the box where the determinant form is +-1, lexicographically,
-    # each with its form value.  The caller rules out int64 overflow.
+    """The points of the box where the determinant form N is 1, one of each
+    pair +-v where it is +-1: the only members that can be totally positive.
+
+    N is odd, N(-v) = -N(v), so only the half box x >= 0 is evaluated, and
+    a hit v stands for N(v) * v.  On the plane x = 0 both members of a pair
+    are hits, so there only v with N(v) = 1 is taken.  The caller rules out
+    int64 overflow.
+    """
     side = np.arange(-box, box + 1, dtype=np.int64)
-    val = box_values(form.coeffs, TERNARY_CUBIC_EXPONENTS, side).ravel()
+    val = box_values(form.coeffs, TERNARY_CUBIC_EXPONENTS, side, first=side[box:]).ravel()
     hits = np.flatnonzero(np.abs(val) == 1)
-    pts = side[np.column_stack(np.unravel_index(hits, (len(side),) * 3))]
-    return [(tuple(p), v) for p, v in zip(pts.tolist(), val[hits].tolist())]
+    x, y, z = np.unravel_index(hits, (box + 1, len(side), len(side)))
+    pts = np.column_stack((x, y - box, z - box))
+    sign = val[hits]
+    take = (pts[:, 0] > 0) | (sign == 1)
+    return list(map(tuple, (pts[take] * sign[take, None]).tolist()))
 
 
 def _norm_inf(v):
@@ -678,9 +768,9 @@ def dirichlet_generators(cone):
             raise CoverageError("determinant form values at unit box %d may overflow "
                                 "int64" % box)
         # the pool of the inner box carries over: test only the new shells
-        for coords, det in _unit_pool(form, box):
+        for coords in _unit_pool(form, box):
             if (_norm_inf(coords) > inner and coords != (1, 0, 0)
-                    and units.totally_positive(coords, det)):
+                    and units.totally_positive(coords, 1)):
                 u = units.matrix(coords)
                 pool.append((units.log(u), coords, u))
         pool.sort(key=lambda item: (_norm_inf(item[0]), item[1]))
@@ -801,21 +891,27 @@ def torus_invariants(sail, group):
         raise CoverageError(
             "no certified faces at radius %d; increase radius" % sail.radius)
     cone = sail.cone
+    memo = {}
+
+    def canonical(points):
+        # An edge is keyed by its sorted pair: both orders of an edge have
+        # the same anchor and the same sorted-pair key.
+        if points not in memo:
+            memo[points] = _canonical(cone, group, list(points))
+        return memo[points]
+
     faces = {}
     for f in sail.faces:
-        ck = _canonical(cone, group, list(f.vertices))
-        faces.setdefault(ck, f)
-    edge_keys = {e: _canonical(cone, group, [e[0], e[1]])
-                 for e in sail.edges}
-    vertex_keys = {v: _canonical(cone, group, [v])
-                   for v in sail.vertices}
+        faces.setdefault(canonical(f.vertices), f)
+    edge_keys = {e: canonical(e) for e in sail.edges}
+    vertex_keys = {v: canonical((v,)) for v in sail.vertices}
     incidence = Counter()
     adjacency = {ck: set() for ck in faces}
     edge_to_faces = {}
     for ck in faces:
         ring = ck
         for u, v in zip(ring, ring[1:] + ring[:1]):
-            ek = _canonical(cone, group, [u, v])
+            ek = canonical((u, v) if u < v else (v, u))
             incidence[ek] += 1
             edge_to_faces.setdefault(ek, set()).add(ck)
     bad = {ek: n for ek, n in incidence.items() if n != 2}
@@ -831,7 +927,7 @@ def torus_invariants(sail, group):
     corner_keys = set()
     for ck in faces:
         for v in ck:
-            corner_keys.add(_canonical(cone, group, [v]))
+            corner_keys.add(canonical((v,)))
     if corner_keys != set(vertex_keys.values()):
         raise CoverageError(
             "fundamental domain not covered at radius %d: face corners and "

@@ -111,15 +111,18 @@ def grid_values(coeffs, exponents, coords):
     return total
 
 
-def box_values(coeffs, exponents, side, q=0):
+def box_values(coeffs, exponents, side, q=0, first=None):
     """The form on the box side^arity as an (n, n^(arity-1)) int64 array in
-    lexicographic order, reduced mod q when q is given.
+    lexicographic order, reduced mod q when q is given.  With ``first``, the
+    first variable runs over ``first`` instead of ``side``, one row each.
 
     The monomials are grouped by the exponent of the first variable into
     coefficient tables over the other variables; Horner's rule in the first
     variable then evaluates the whole box.  Without q the caller rules out
     int64 overflow.
     """
+    if first is None:
+        first = side
     def mod(a):
         return a % q if q else a
 
@@ -133,7 +136,7 @@ def box_values(coeffs, exponents, side, q=0):
         tables[e0] = mod(tables[e0] + term)
     total = tables[-1][None, :]
     for table in reversed(tables[:-1]):
-        total = mod(total * side[:, None] + table)
+        total = mod(total * first[:, None] + table)
     return total
 
 

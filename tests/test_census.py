@@ -11,15 +11,24 @@ from cf3.census import (
     census,
     census_records,
     classify_matrix,
-    enumerate_norm,
     matrices_in_class,
     matrix_from_flat,
     sphere_size,
-    vectors_with_norm,
 )
 from cf3.intmat import IntMat, char_cubic, char_quad, is_hyperbolic, is_irreducible, matrix_norm
 
 census_module = importlib.import_module("cf3.census")  # cf3.census is shadowed by census()
+
+
+def vectors_with_norm(length, n):
+    """All integer vectors of the given L1 norm, read from the array sphere."""
+    return map(tuple, census_module._sphere(length, n).tolist())
+
+
+def enumerate_norm(dim, n):
+    """Every dim x dim integer matrix of norm exactly n, read from the array
+    sphere."""
+    return map(matrix_from_flat, census_module._matrix_sphere(dim, n).tolist())
 
 
 def oracle_vectors_with_norm(length, n):

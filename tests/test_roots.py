@@ -22,7 +22,6 @@ from cf3.roots import (
     poly_add,
     poly_degree,
     poly_derivative,
-    poly_eval,
     poly_mod,
     poly_mul,
     poly_scale,
@@ -31,6 +30,14 @@ from cf3.roots import (
     sign_at_root,
     sturm_chain,
 )
+
+
+def poly_eval(p, x):
+    """Horner evaluation of an integer or rational polynomial at x."""
+    acc = 0
+    for c in p:
+        acc = acc * x + c
+    return acc
 
 
 def oracle_divmod(num, den):

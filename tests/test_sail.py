@@ -1,10 +1,11 @@
 import hashlib
 import math
 import random
+from functools import reduce
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, reject, settings
+from hypothesis import assume, example, given, reject, settings
 from hypothesis import strategies as st
 
 from cf3 import sail
@@ -16,7 +17,6 @@ from cf3.intmat import CharCubic, IntMat, adjugate, char_cubic, parse_matrix
 from cf3.roots import (
     isolate_real_roots,
     poly_add,
-    poly_eval,
     poly_mod,
     poly_mul,
     poly_scale,
@@ -37,6 +37,7 @@ from cf3.sail import (
     _mat_power,
     _Roots,
     _strip_points,
+    _undominated,
     _unit_pool,
     _Units,
     compute_sail,
@@ -80,7 +81,7 @@ def test_char_adjugate_matches_integer_adjugate():
             want = adjugate(m)
             for i in range(3):
                 for j in range(3):
-                    assert poly_eval(adj[i][j], x) == want[i, j]
+                    assert reduce(lambda acc, a: acc * x + a, adj[i][j], 0) == want[i, j]
 
 
 def test_eigen_cone_golden_structure():
@@ -288,9 +289,32 @@ def _unit_pool_oracle(form, box):
 
 @pytest.mark.parametrize("c", [GOLDEN, M131, M031, A42, conjugate(P_UNIMODULAR, M131)])
 def test_unit_pool_matches_the_grid_builder(c):
+    # the half-box pool holds N(v) * v once for every +-1 point v of the box
     form = det_form(commutant_basis(c).members())
     for box in (4, 8, 16):
-        assert _unit_pool(form, box) == _unit_pool_oracle(form, box)
+        pool = _unit_pool(form, box)
+        assert len(pool) == len(set(pool))
+        assert set(pool) == {tuple(det * x for x in v) for v, det in _unit_pool_oracle(form, box)}
+
+
+# The determinant form of this matrix passes the int64 guard up to box 18,
+# where the bound on its values is just below 2^62.
+NEAR_GUARD = parse_matrix("0,1,0;300,-89400,26819701;1,-298,89399")
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@example(NEAR_GUARD, 18)
+@given(st.sampled_from([GOLDEN, M131, M031, A42, conjugate(P_UNIMODULAR, M131), NEAR_GUARD]),
+       st.integers(4, 32))
+def test_half_box_pool_is_the_totally_positive_full_box_pool(c, box):
+    chi = (1,) + char_cubic(c).monic()
+    units = _Units(c, _Roots(chi))
+    form = det_form(units.basis.members())
+    assume(sum(map(abs, form.coeffs)) * box ** 3 < 2 ** 62)
+    pool = _unit_pool(form, box)
+    assert len(pool) == len(set(pool))
+    assert ({v for v in pool if units.totally_positive(v, 1)}
+            == {v for v, det in _unit_pool_oracle(form, box) if units.totally_positive(v, det)})
 
 
 def _face_keys_oracle(cone, radius):
@@ -329,6 +353,48 @@ def test_compute_sail_faces_match_the_per_simplex_loop(c):
                 == _face_keys_oracle(eigen_cone(c), radius))
 
 
+ELEMENTARY = st.tuples(st.sampled_from([(i, j) for i in range(3) for j in range(3) if i != j]),
+                       st.sampled_from([1, -1]))
+
+
+def _word_matrix(word):
+    p = E3
+    for (i, j), s in word:
+        rows = [[int(r == c) for c in range(3)] for r in range(3)]
+        rows[i][j] = s
+        p = p @ IntMat(rows)
+    return p
+
+
+@settings(derandomize=True, max_examples=25, deadline=None)
+@given(st.sampled_from([p.matrix() for _, p in REFERENCE_PARAMS]),
+       st.lists(ELEMENTARY, max_size=6))
+def test_dominance_filtered_faces_match_the_full_hull(c, word):
+    """The hull of the undominated points and the certification from them
+    give the faces of the full radius set on SL(3,Z) conjugates."""
+    m = conjugate(_word_matrix(word), c)
+    try:
+        keys = compute_sail(eigen_cone(m), 16).face_keys()
+    except CoverageError:
+        reject()
+    assert keys == _face_keys_oracle(eigen_cone(m), 16)
+
+
+@pytest.mark.parametrize("c, faces", [
+    (parse_matrix("11,-7,11;7,-4,8;-8,5,-8"), True),   # 3 undominated points
+    (parse_matrix("-5,3,-5;-4,1,-3;3,-3,4"), False),   # 4 coplanar ones
+])
+def test_degenerate_undominated_set_falls_back_to_every_point(c, faces):
+    cone = eigen_cone(c)
+    pts = _cone_points(cone, 1)
+    kept = _undominated(cone, pts)
+    assert np.linalg.matrix_rank(pts[1:] - pts[0]) == 3
+    assert len(kept) < 4 or np.linalg.matrix_rank(kept[1:] - kept[0]) < 3
+    keys = compute_sail(cone, 1).face_keys()
+    assert bool(keys) == faces
+    assert keys == _face_keys_oracle(eigen_cone(c), 1)
+
+
 # sha256 of the lines "matrix key group_certified radius" of the torus
 # invariant of every conjugate that the sail acceptance claim draws, frozen.
 CLAIM7_SHA256 = "c04200e54d85d08e8128d8af898921a26cf5cb387b7049098c4711136bdeb6b2"
@@ -359,7 +425,7 @@ def test_descartes_total_positivity_matches_root_signs(c):
     units = _Units(c, _Roots(chi))
     intervals = [refine_interval(chi, iv, ROOT_WIDTH) for iv in isolate_real_roots(chi)]
     positive = 0
-    for coords, det in _unit_pool(det_form(units.basis.members()), 8):
+    for coords, det in _unit_pool_oracle(det_form(units.basis.members()), 8):
         cubic = char_cubic(units.matrix(coords)).as_tuple()
         assert cubic[2] == det
         descartes = all(x > 0 for x in cubic)
@@ -461,12 +527,8 @@ def test_dirichlet_generators_frozen(c, g1, g2, certified, box):
 def test_dirichlet_generators_stops_at_the_last_box_that_fits_int64():
     # the determinant form's values may overflow int64 at box 32; box 16
     # already holds an uncertified pair, which is returned
-    group = dirichlet_generators(eigen_cone(parse_matrix("0,1,0;300,-89400,26819701;1,-298,89399")))
+    group = dirichlet_generators(eigen_cone(NEAR_GUARD))
     assert (group.certified, group.box) == (False, 16)
-
-
-ELEMENTARY = st.tuples(st.sampled_from([(i, j) for i in range(3) for j in range(3) if i != j]),
-                       st.sampled_from([1, -1]))
 
 
 @settings(derandomize=True, max_examples=15, deadline=None)
@@ -475,13 +537,8 @@ def test_torus_invariant_conjugation_invariant(word):
     """The torus invariant of M(-1,2,1) is unchanged by conjugation with an
     elementary SL(3,Z) word.  A conjugate that reaches a cap (CoverageError)
     is rejected, not failed; any other exception fails."""
-    p = E3
-    for (i, j), s in word:
-        rows = [[int(r == c) for c in range(3)] for r in range(3)]
-        rows[i][j] = s
-        p = p @ IntMat(rows)
     try:
-        key = torus_invariant_for(conjugate(p, GOLDEN)).key()
+        key = torus_invariant_for(conjugate(_word_matrix(word), GOLDEN)).key()
     except CoverageError:
         reject()
     assert key == GOLDEN_KEY

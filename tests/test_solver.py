@@ -265,7 +265,8 @@ def _oracle_obstruction(coeffs, exponents, cap, targets=(1, -1)):
        st.integers(0, 6), st.integers(2, 30))
 def test_box_values_is_the_grid_evaluation(form, bound, q):
     """One Horner pass equals the monomial-by-monomial grid evaluation, over
-    a box and over the residues mod q."""
+    a box and over the residues mod q, and over their upper halves in the
+    first variable."""
     exponents, coeffs = form
     arity = len(exponents[0])
     for side, modulus in ((np.arange(-bound, bound + 1, dtype=np.int64), 0),
@@ -274,6 +275,9 @@ def test_box_values_is_the_grid_evaluation(form, bound, q):
         assert got.shape == (len(side), len(side) ** (arity - 1))
         want = grid_values(coeffs, exponents, grid_coords(side, arity))
         assert (got.ravel() == (want % modulus if modulus else want)).all()
+        half = len(side) // 2
+        assert (box_values(coeffs, exponents, side, modulus, first=side[half:])
+                == got[half:]).all()
 
 
 def test_residues_match_direct_enumeration():
