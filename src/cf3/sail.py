@@ -623,13 +623,9 @@ class DirichletGroup:
             self._tcache[key] = _mat_power(self.g1, t1) @ _mat_power(self.g2, t2)
         return self._tcache[key]
 
-    def log_vector(self, m):
-        return self.units.log(m)
-
     def member_exponents(self, u):
         """Exact exponents (a, b) with u == g1^a @ g2^b, or None."""
-        lu = self.log_vector(u)
-        a, b = _solve_cell(self.log1, self.log2, lu)
+        a, b = _solve_cell(self.log1, self.log2, self.units.log(u))
         a, b = round(a), round(b)
         if self.translate(a, b) == u:
             return (a, b)

@@ -6,12 +6,14 @@ Three engines, in increasing specificity:
   (shells of growing max-norm, then lexicographic with the per-coordinate
   value order 0 < 1 < -1 < 2 < -2 < ...), evaluated pass by pass in int64
   while every product provably fits and in exact integers past that, hits
-  re-checked exactly.  The passes inside box 7 are one product of a cached
-  monomial table with the coefficients; later passes evaluate the grid;
+  re-checked exactly.  The passes to shells 1, 3 and 7 are one product of
+  a cached monomial table with the coefficients; each later pass is one
+  box_values pass over the box of a BOX_LADDER rung, whose hit of least
+  canonical key is the first hit;
 * modular_obstruction: the smallest modulus q where the form's residue set
   misses both 1 and -1, which certifies unsolvability.  Only prime powers
   are scanned: for an odd form the smallest obstructing modulus is one.
-  Each residue set is one Horner pass over a numpy grid;
+  Each residue set is one box_values pass mod q;
 * pell_decide: a decision for binary quadratics of positive nonsquare
   discriminant via the reduction cycle, capped at PELL_STEP_CAP steps.
   +-1 is represented exactly when it occurs among the leading coefficients
@@ -96,30 +98,16 @@ def grid_coords(side, arity):
     return [g.ravel() for g in np.meshgrid(*([side] * arity), indexing="ij")]
 
 
-def grid_values(coeffs, exponents, coords):
-    """The form at every grid point, in the dtype of ``coords``: int64 when
-    the caller rules out overflow, object for exact Python integers."""
-    total = np.zeros_like(coords[0])
-    for c, exps in zip(coeffs, exponents):
-        if not c:
-            continue
-        term = c
-        for g, e in zip(coords, exps):
-            for _ in range(e):
-                term = term * g
-        total = total + term
-    return total
-
-
 def box_values(coeffs, exponents, side, q=0, first=None):
-    """The form on the box side^arity as an (n, n^(arity-1)) int64 array in
+    """The form on the box side^arity as an (n, n^(arity-1)) array in
     lexicographic order, reduced mod q when q is given.  With ``first``, the
     first variable runs over ``first`` instead of ``side``, one row each.
 
     The monomials are grouped by the exponent of the first variable into
     coefficient tables over the other variables; Horner's rule in the first
-    variable then evaluates the whole box.  Without q the caller rules out
-    int64 overflow.
+    variable then evaluates the whole box.  The result has the dtype of
+    ``side``: int64 when the caller rules out overflow (without q), object
+    for exact Python integers.
     """
     if first is None:
         first = side
@@ -140,96 +128,79 @@ def box_values(coeffs, exponents, side, q=0, first=None):
     return total
 
 
-_GRID_CACHE = {}
-
-
-def _grid(arity, bound):
-    """Coordinate columns of a box of at least ``bound``, in canonical order.
-
-    Box b is then the first (2b+1)^arity points of any larger box, so one
-    grid per arity serves every box and only a larger bound rebuilds it.
-    """
-    if arity not in _GRID_CACHE or _GRID_CACHE[arity][0] < bound:
-        side = np.array(sorted(range(-bound, bound + 1), key=_rank), dtype=np.int64)
-        shell = side_shell = np.abs(side).astype(np.min_scalar_type(bound))
-        for _ in range(arity - 1):
-            shell = np.maximum.outer(shell, side_shell)
-        # stable (radix) sort of the rank-lexicographic grid by shell
-        perm = np.argsort(shell.ravel(), kind="stable")
-        n = side.size
-        coords = [side[perm // n ** (arity - 1 - k) % n] for k in range(arity)]
-        _GRID_CACHE[arity] = (bound, coords)
-    return _GRID_CACHE[arity][1]
+def _canonical_order(cols):
+    """Indices sorting the points ``cols`` by shell, then by _rank per
+    coordinate."""
+    ranks = [2 * np.abs(g) - (g > 0) for g in cols]
+    return np.lexsort(ranks[::-1] + [np.max(np.abs(cols), axis=0)])
 
 
 _TABLE_BOX = 7   # the third pass of search_box ends here
 _TABLE_CACHE = {}
 
 
-def _monomial_table(exponents, bound):
-    """Monomial values on the canonical grid prefix of box min(bound,
-    _TABLE_BOX), as an int64 (points x monomials) array.
-
-    Like _GRID_CACHE, one table per exponent table serves every smaller box
-    and only a larger box rebuilds it.  The monomials are computed exactly
-    and raise OverflowError rather than wrap if one does not fit int64.
-    """
-    box = min(bound, _TABLE_BOX)
-    if exponents not in _TABLE_CACHE or _TABLE_CACHE[exponents][0] < box:
-        arity = len(exponents[0])
-        cols = [g[:(2 * box + 1) ** arity].astype(object) for g in _grid(arity, box)]
-        table = np.column_stack([grid_values((1,), (exps,), cols) for exps in exponents])
-        _TABLE_CACHE[exponents] = (box, table.astype(np.int64))
-    return _TABLE_CACHE[exponents][1]
-
-
-def _pass_values(coeffs, exponents, table, coords, start, end, exact):
-    """The form on the canonical grid points start:end, in int64, or in exact
-    integers when ``exact``.  Inside the monomial table a pass is one
-    product with the coefficients; past it, grid_values on the coordinates.
-    """
-    if end <= len(table):
-        rows = table[start:end]
-        return rows.astype(object) @ np.array(coeffs, dtype=object) if exact else rows @ coeffs
-    cols = [g[start:end] for g in coords]
-    return grid_values(coeffs, exponents, [g.astype(object) for g in cols] if exact else cols)
+def _monomial_table(exponents):
+    """The points of box _TABLE_BOX in canonical order, as tuples, and the
+    monomial values on them as an int64 (points x monomials) array, built
+    once per exponent table: one box_values pass per unit coefficient
+    vector."""
+    if exponents not in _TABLE_CACHE:
+        side = np.arange(-_TABLE_BOX, _TABLE_BOX + 1, dtype=np.int64)
+        cols = grid_coords(side, len(exponents[0]))
+        order = _canonical_order(cols)
+        table = np.column_stack([box_values(unit, exponents, side).ravel()[order]
+                                 for unit in np.eye(len(exponents), dtype=int).tolist()])
+        _TABLE_CACHE[exponents] = (list(zip(*(g[order].tolist() for g in cols))), table)
+    return _TABLE_CACHE[exponents]
 
 
 def search_box(coeffs, exponents, bound, targets=UNIT_TARGETS):
     """First point, in canonical order, where the form hits a target value.
 
-    Returns (point, value) or None.  The new points of shells <= 1, 3, 7,
-    ..., bound are evaluated pass by pass, and the search stops at the
-    first pass with a hit.  Passes also end at the rungs of BOX_LADDER, so
-    a hit within rung b costs no more than a search of box b.  The passes
-    inside box _TABLE_BOX read a cached monomial table.  A pass runs in int64
-    when every intermediate product on its shells provably fits, and on
-    exact Python integers otherwise.  Hits are re-verified exactly.
+    Returns (point, value) or None.  The passes end at shells 1, 3 and 7,
+    then at the rungs of BOX_LADDER, capped at ``bound``, and the search
+    stops at the first pass with a hit, so a hit within rung b costs no
+    more than a search of box b.  The passes inside box _TABLE_BOX each
+    take the new points of a cached monomial table, in canonical order, and
+    return their first hit.  A later pass evaluates its whole box with
+    box_values and returns the hit of least canonical key (shell, then
+    _rank per coordinate): the earlier passes cleared the inner box, so it
+    is the first hit in canonical order.  A pass runs in int64 when every
+    intermediate product on its box provably fits, and on exact Python
+    integers otherwise.  Hits are re-verified exactly.
     """
     coeffs = tuple(map(int, coeffs))
     degree = max(map(sum, exponents))
     weight = sum(map(abs, coeffs))
-    coords = _grid(len(exponents[0]), bound)
-    table = _monomial_table(exponents, bound)
-    start, shell = 0, min(1, bound)
-    while True:
-        end = (2 * shell + 1) ** len(coords)
+    arity = len(exponents[0])
+    points, table = _monomial_table(exponents)
+    done = 0   # table rows already evaluated
+    for rung in (1, 3, _TABLE_BOX, *BOX_LADDER, bound):
+        shell = min(rung, bound)
         exact = max(weight * max(1, shell) ** degree, *map(abs, targets)) >= 2 ** 62
-        total = _pass_values(coeffs, exponents, table, coords, start, end, exact)
+        if shell <= _TABLE_BOX:
+            rows = table[done:(2 * shell + 1) ** arity]
+            total = rows.astype(object) @ np.array(coeffs, dtype=object) if exact else rows @ coeffs
+        else:
+            side = np.arange(-shell, shell + 1, dtype=np.int64)
+            total = box_values(coeffs, exponents, side.astype(object) if exact else side)
         mask = total == targets[0]
         for t in targets[1:]:
             mask |= total == t
-        k = int(mask.argmax())
-        if mask[k]:
-            point = tuple(int(g[start + k]) for g in coords)
-            break
+        if shell <= _TABLE_BOX:
+            k = int(mask.argmax())
+            point = points[done + k] if mask[k] else None
+            done += len(rows)
+        else:
+            hits = np.flatnonzero(mask)
+            cols = [side[i] for i in np.unravel_index(hits, (side.size,) * arity)]
+            point = tuple(int(g[_canonical_order(cols)[0]]) for g in cols) if hits.size else None
+        if point is not None:
+            value = evaluate_form(coeffs, exponents, point)
+            assert value in targets
+            return point, value
         if shell == bound:
             return None
-        start, shell = end, min(2 ** (shell + 1).bit_length() - 1, bound,
-                                *(b for b in BOX_LADDER if b > shell))
-    value = evaluate_form(coeffs, exponents, point)
-    assert value in targets
-    return point, value
 
 
 @lru_cache(maxsize=65536)

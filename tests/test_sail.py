@@ -47,8 +47,9 @@ from cf3.sail import (
     sail_svg,
     torus_invariant_for,
 )
-from cf3.solver import grid_coords, grid_values
+from cf3.solver import grid_coords
 from cf3.zlinalg import inverse_unimodular
+from test_solver import grid_values
 
 GOLDEN = IntMat([[0, 1, 0], [0, 0, 1], [1, 2, -1]])
 M131 = IntMat([[0, 1, 0], [0, 0, 1], [1, 3, -1]])

@@ -3,6 +3,7 @@
 import random
 from dataclasses import replace
 from itertools import product
+from math import prod
 
 import numpy as np
 import pytest
@@ -13,11 +14,11 @@ from cf3.commutant import basis_from_pair
 from cf3.forms import (BinaryCubicForm, BinaryQF, TernaryCubicForm,
                        evaluate_form, product_form, q2, q3)
 from cf3.intmat import IntMat, is_irreducible
-from cf3.solver import (_GRID_CACHE, _TABLE_CACHE, BINARY_CUBIC_EXPONENTS,
+from cf3.solver import (_TABLE_BOX, _TABLE_CACHE, BINARY_CUBIC_EXPONENTS,
                         BINARY_QUAD_EXPONENTS, TERNARY_CUBIC_EXPONENTS, Caps, Certificate,
-                        Solvability, _content_certificate, _grid, _pass_values, _rank,
+                        Solvability, _content_certificate, _monomial_table, _rank,
                         _residues_mod, box_values, decide_form, decide_product,
-                        decide_quadratic, grid_coords, grid_values, modular_obstruction,
+                        decide_quadratic, grid_coords, modular_obstruction,
                         pell_decide, search_box)
 
 A42 = IntMat([[1, 2, 0], [0, 1, 2], [-7, 0, 29]])
@@ -28,6 +29,19 @@ def b42():
     e = IntMat.identity(3)
     num = A42 @ A42 - 30 * A42 + 29 * e
     return IntMat([[v // 2 for v in row] for row in num.rows])
+
+
+def grid_values(coeffs, exponents, coords):
+    """Oracle: the form at every grid point, monomial by monomial, in the
+    dtype of ``coords`` (int64, or object for exact Python integers)."""
+    total = np.zeros_like(coords[0])
+    for c, exps in zip(coeffs, exponents):
+        term = c
+        for g, e in zip(coords, exps):
+            for _ in range(e):
+                term = term * g
+        total = total + term
+    return total
 
 
 # ---------------------------------------------------------------- search_box
@@ -117,55 +131,100 @@ def test_search_box_first_hit_past_the_first_passes(coeffs, exponents, first):
 
 @pytest.mark.parametrize("k, rung", [(11, 12), (21, 25)])
 def test_search_box_hit_within_a_rung_costs_no_more_than_its_box(monkeypatch, k, rung):
-    # n^2 (k n - m) first hits (k - 1, 1); passes ending at 1, 3, 7, 15, 31
-    # alone would evaluate box 15 for shell 10 and box 31 for shell 20
-    sizes = []
+    # n^2 (k n - m) first hits (k - 1, 1): past the monomial table the passes
+    # evaluate the boxes of the rungs up to the one holding the hit, no larger
+    sides = []
 
-    def counted(coeffs, exponents, table, coords, start, end, exact):
-        sizes.append(end - start)
-        return _pass_values(coeffs, exponents, table, coords, start, end, exact)
+    def counted(coeffs, exponents, side, *args, **kwargs):
+        sides.append(len(side))
+        return box_values(coeffs, exponents, side, *args, **kwargs)
 
-    monkeypatch.setattr("cf3.solver._pass_values", counted)
+    _monomial_table(BINARY_CUBIC_EXPONENTS)
+    monkeypatch.setattr("cf3.solver.box_values", counted)
     assert search_box((0, 0, -1, k), BINARY_CUBIC_EXPONENTS, 50) == ((k - 1, 1), 1)
-    assert sum(sizes) == (2 * rung + 1) ** 2
+    assert sides == [2 * b + 1 for b in (12, 25) if b <= rung]
 
 
 @pytest.mark.parametrize("arity", [2, 3])
-def test_grid_prefix_is_canonical_order(arity):
-    # the cache may hold a larger box; its first 9^arity points are box 4
-    listed = list(zip(*[g[:9 ** arity].tolist() for g in _grid(arity, 4)]))
-    for b in range(5):
-        box = sorted(product(range(-b, b + 1), repeat=arity),
-                     key=lambda p: (max(abs(v) for v in p), [_rank(v) for v in p]))
-        assert listed[:len(box)] == box
+def test_monomial_table_is_in_canonical_order(arity):
+    # sorted by shell first, so box b <= _TABLE_BOX is the first (2b+1)^arity rows
+    exponents = CUBIC_EXPONENTS[arity]
+    listed, table = _monomial_table(exponents)
+    assert listed == sorted(product(range(-_TABLE_BOX, _TABLE_BOX + 1), repeat=arity),
+                            key=lambda p: (max(abs(v) for v in p), [_rank(v) for v in p]))
+    units = np.eye(len(exponents), dtype=int).tolist()
+    assert table.dtype == np.int64
+    assert table.tolist() == [[evaluate_form(u, exponents, p) for u in units] for p in listed]
 
 
-def test_search_box_reads_a_prefix_of_a_larger_grid():
-    rng = random.Random(12)
-    forms = [(tuple(rng.randint(-6, 6) for _ in range(len(CUBIC_EXPONENTS[a]))), a)
-             for a in (2, 3) for _ in range(40)]
-    _GRID_CACHE.clear()
-    fresh = [search_box(c, CUBIC_EXPONENTS[a], 12) for c, a in forms]
-    _GRID_CACHE.clear()
-    for a in (2, 3):
-        search_box((0,) * len(CUBIC_EXPONENTS[a]), CUBIC_EXPONENTS[a], 50)
-        assert _GRID_CACHE[a][0] == 50
-    assert [search_box(c, CUBIC_EXPONENTS[a], 12) for c, a in forms] == fresh
-    assert all(_GRID_CACHE[a][0] == 50 for a in (2, 3))
+def test_monomial_table_is_built_once_per_exponent_table(monkeypatch):
+    calls = []
 
+    def counted(coeffs, exponents, side, *args, **kwargs):
+        calls.append(exponents)
+        return box_values(coeffs, exponents, side, *args, **kwargs)
 
-def test_search_box_rebuilds_a_short_monomial_table():
-    # box 4 builds the table prefix of box 4, box 50 the one of box 7;
-    # each form's first hit lies on shell 6, past the shorter prefix
+    monkeypatch.setattr("cf3.solver.box_values", counted)
+    _TABLE_CACHE.clear()
+    # n^2 (7n - m) and z^2 (7z - x) first hit on shell 6, inside the table
     forms = [((0, 0, -1, 7), BINARY_CUBIC_EXPONENTS),
              ((0, 0, 7, 0, 0, 0, -1, 0, 0, 0), TERNARY_CUBIC_EXPONENTS)]
-    _GRID_CACHE.clear()
-    _TABLE_CACHE.clear()
-    for bound, box in ((4, 4), (50, 7)):
+    built = {}
+    for bound in (4, 7, 6, 0):
         for coeffs, exponents in forms:
             assert search_box(coeffs, exponents, bound) == _python_answer(coeffs, exponents, bound)
-            assert len(_TABLE_CACHE[exponents][1]) == (2 * box + 1) ** len(exponents[0])
-    assert [search_box(c, e, 50)[0] for c, e in forms] == [(6, 1), (6, 0, 1)]
+            built.setdefault(exponents, _TABLE_CACHE[exponents])
+            assert _TABLE_CACHE[exponents] is built[exponents]
+    assert set(_TABLE_CACHE) == {BINARY_CUBIC_EXPONENTS, TERNARY_CUBIC_EXPONENTS}
+    # one pass per monomial at the first search, none after it
+    assert calls == [BINARY_CUBIC_EXPONENTS] * 4 + [TERNARY_CUBIC_EXPONENTS] * 10
+
+
+def _signed_permutation(coeffs, exponents, perm, signs):
+    """The form at the point (signs[i] * v[perm[i]])_i."""
+    index = {e: j for j, e in enumerate(exponents)}
+    out = [0] * len(exponents)
+    for c, e in zip(coeffs, exponents):
+        f = [0] * len(e)
+        for i, ei in enumerate(e):
+            f[perm[i]] = ei
+        out[index[tuple(f)]] += c * prod(s ** ei for s, ei in zip(signs, e))
+    return tuple(out)
+
+
+@st.composite
+def late_hit_forms(draw):
+    """z^2 (k z - x) + big x^2 (x - (k - 1) z) in the first variable x and
+    the last z, under a random signed permutation of the variables.  Its
+    unit values lie on z = +-1, x = +-(k - 1) or +-(k + 1), so the first
+    is on shell k - 1, past the first passes.  A nonzero big is sized so
+    that the table passes run in int64 and the box passes on exact
+    integers: weight * 7^3 < 2^62 <= weight * 12^3."""
+    exponents = draw(st.sampled_from([BINARY_CUBIC_EXPONENTS, TERNARY_CUBIC_EXPONENTS]))
+    arity = len(exponents[0])
+    k = draw(st.integers(8, 30))
+    big = (draw(st.sampled_from((0, 1, -1)))
+           * draw(st.integers(2 ** 62 // (1728 * k) + 1, 2 ** 62 // (343 * k) - 2)))
+    x, z = (1,) + (0,) * (arity - 1), (0,) * (arity - 1) + (1,)
+
+    def mono(i, j):
+        return tuple(i * a + j * b for a, b in zip(x, z))
+
+    terms = {mono(0, 3): k, mono(1, 2): -1, mono(3, 0): big, mono(2, 1): -(k - 1) * big}
+    coeffs = [terms.get(e, 0) for e in exponents]
+    perm = draw(st.permutations(range(arity)))
+    signs = draw(st.lists(st.sampled_from((1, -1)), min_size=arity, max_size=arity))
+    return _signed_permutation(coeffs, exponents, perm, signs), exponents, big
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(late_hit_forms(), st.integers(0, 50))
+@example(((0, 0, 30, 0, 0, 0, -1, 0, 0, 0), TERNARY_CUBIC_EXPONENTS, 0), 50)
+def test_search_box_past_the_monomial_table_matches_python(form, bound):
+    coeffs, exponents, big = form
+    weight = sum(map(abs, coeffs))
+    assert not big or weight * 7 ** 3 < 2 ** 62 <= weight * 12 ** 3
+    assert search_box(coeffs, exponents, bound) == _python_answer(coeffs, exponents, bound)
 
 
 # small coefficients, and ones near the int64 guard: the switch to exact
