@@ -201,13 +201,13 @@ def _run_sail(config):
     m = _parsed_matrix(config)
     cone = eigen_cone(m)
     group = dirichlet_generators(cone)
-    complex_ = compute_sail(cone, config.radius)
+    complex_ = compute_sail(cone, config.radius, group)
     invariant = None
     invariant_error = None
     ladder = (config.radius,) + tuple(r for r in RADIUS_LADDER if r > config.radius)
     for radius in ladder:
         try:
-            sail = complex_ if radius == config.radius else compute_sail(cone, radius)
+            sail = complex_ if radius == config.radius else compute_sail(cone, radius, group)
             invariant = torus_invariants(sail, group)
             break
         except CoverageError as exc:

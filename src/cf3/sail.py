@@ -14,15 +14,22 @@ evaluations (correctly rounded integer divisions) carry rigorous error
 bounds from the same enclosures, with anything inside the error band
 decided exactly.
 
-Most enumerated lattice points cannot touch the sail.  A cone point p is
-dominated by a cone point v when p - v lies in the open cone; a face normal
-N is positive on the rays, so N.p = N.v + N.(p - v) > N.v, and a dominated
-point is never on or below a face plane.  ``compute_sail`` therefore hands
-Qhull only the points that no small cone point provably dominates, and
-certifies a candidate whose corner box lies inside the radius by one
-product over those points.  The unit search likewise evaluates the odd
-determinant form on the half box x >= 0 only: N(-v) = -N(v), so every +-1
-pair is seen there, and N(v) * v is its one member of determinant 1.
+Sail work follows the sail, not the box.  The cone meets each (x, y)
+column of the box in an up-ray of z, so the enumeration tests only the
+points from a float lower bound of that ray upwards.  Most enumerated
+points still cannot touch the sail: a cone point p is dominated by a cone
+point v when p - v lies in the open cone; a face normal N is positive on
+the rays, so N.p = N.v + N.(p - v) > N.v, and a dominated point is never
+on or below a face plane.  ``compute_sail`` therefore hands Qhull only the
+points that no small cone point provably dominates, and certifies a
+candidate whose corner box lies inside the radius by one product over
+those points.  The unit group acts on the sail, so a candidate that a
+short unit word maps onto a face certified already is that face's exact
+translate: each face orbit is certified about once.  Orbit keys read the
+anchors of all elements in one array pass.  The unit search likewise
+evaluates the odd determinant form on the half box x >= 0 only:
+N(-v) = -N(v), so every +-1 pair is seen there, and N(v) * v is its one
+member of determinant 1.
 """
 
 import math
@@ -55,6 +62,8 @@ RADIUS_LADDER = (16, 32, 64, 128, 256)
 CELL_BAND = 1e-6
 DOMINATORS = 8  # the cone points of least L1 norm that the hull filter subtracts
 SLAB = 1 << 14  # rows per slab of box points: about one box slice at radius 64
+LOOKUP_REACH = 2  # face lookup tries the unit words g1^a g2^b with |a|, |b| <= 2
+WALK = object()  # _certify_face's answer for a plane left to a walk
 
 
 class _Roots:
@@ -277,28 +286,46 @@ class SailComplex:
         return frozenset(f.key() for f in self.faces)
 
 
-def _box_slices(bound):
-    """The box of ``bound`` in lexicographic order, as slabs of whole
-    x-slices holding at most SLAB points, or one slice when it is larger."""
-    rng = np.arange(-bound, bound + 1, dtype=np.int64)
-    yz = np.stack(np.meshgrid(rng, rng, indexing="ij"), axis=-1).reshape(-1, 2)
-    step = max(1, SLAB // len(yz))
-    for start in range(0, len(rng), step):
-        xs = rng[start:start + step]
-        pts = np.empty((len(xs), len(yz), 3), dtype=np.int64)
-        pts[:, :, 0] = xs[:, None]
-        pts[:, :, 1:] = yz
-        yield pts.reshape(-1, 3)
-
-
 def _cone_points(cone, bound):
+    """The cone points of the box of ``bound``, in lexicographic order.
+
+    ``eigen_cone`` orients each functional by the sign of its z coefficient,
+    so every functional grows with z and the cone meets each (x, y) column in
+    the z above some least value.  A sound lower bound on it comes from the
+    float functionals and their error weights at |z| <= bound: below it one
+    functional is provably negative.  ``interior_mask`` decides the points
+    from there up, in slabs of whole x-slices holding at most SLAB points, or
+    one slice when it is larger.
+    """
+    mids, rads = cone._float_duals()
+    rng = np.arange(-bound, bound + 1, dtype=np.int64)
+    side = len(rng)
+    lo = np.full((side, side), -bound, dtype=np.int64)
+    for m, r in zip(mids, rads):
+        if m[2] > 0:
+            # m.p + r.|p| bounds the functional from above at |z| <= bound;
+            # it is negative for z below t
+            u, v = (m[k] * rng + r[k] * np.abs(rng) for k in range(2))
+            t = -(u[:, None] + v[None, :] + r[2] * bound) / m[2]
+            lo = np.maximum(lo, np.clip(np.floor(t), -bound, bound + 1).astype(np.int64))
+    # the columns in lexicographic (x, y) order and their point counts
+    x, y, lo = np.repeat(rng, side), np.tile(rng, side), lo.ravel()
+    count = bound + 1 - lo
+    ends = np.cumsum(count)
+    slice_ends = ends[side - 1::side]
     found = []
-    for pts in _box_slices(bound):
-        mask = cone.interior_mask(pts)
-        if mask.any():
-            found.append(pts[mask])
-    if not found:
-        return np.empty((0, 3), dtype=np.int64)
+    start = 0
+    while start < side:
+        base = int(slice_ends[start - 1]) if start else 0
+        stop = max(start + 1, int(np.searchsorted(slice_ends, base + SLAB, "right")))
+        cols = slice(start * side, stop * side)
+        cnt = count[cols]
+        pts = np.empty((int(slice_ends[stop - 1]) - base, 3), dtype=np.int64)
+        pts[:, 0] = np.repeat(x[cols], cnt)
+        pts[:, 1] = np.repeat(y[cols], cnt)
+        pts[:, 2] = np.repeat(lo[cols] + base - (ends[cols] - cnt), cnt) + np.arange(len(pts))
+        found.append(pts[cone.interior_mask(pts)])
+        start = stop
     return np.vstack(found)
 
 
@@ -358,6 +385,13 @@ def _strip_points(normal, offset, bound):
         pts[:, a], pts[:, b], pts[:, k] = rng[pair // n], rng[pair % n], sign * y
         yield pts, w0[pair] + nk * y
         start = stop
+
+
+def _apply(m, points):
+    """The 3x3 integer matrix m applied to each point, as tuples."""
+    (a, b, c), (d, e, f), (g, h, i) = m.rows
+    return [(a * x + b * y + c * z, d * x + e * y + f * z, g * x + h * y + i * z)
+            for x, y, z in points]
 
 
 def _cross(u, v):
@@ -420,7 +454,7 @@ def _convex_polygon(points, normal):
     return _orbit_key(cycle), total
 
 
-def _certify_face(cone, normal, offset, box_cap=FACE_BOX_CAP, known=None):
+def _certify_face(cone, normal, offset, box_cap=FACE_BOX_CAP, known=None, walk=True):
     """Certify a candidate sail plane globally and cut its full polygon.
 
     Returns a Face when no cone lattice point lies strictly below the plane
@@ -433,7 +467,8 @@ def _certify_face(cone, normal, offset, box_cap=FACE_BOX_CAP, known=None):
     box is decided by one product over pts.  A point p dominated by v has
     N.p > N.v for a normal N positive on the rays, so the least value of N
     on the box and every point attaining it are in pts.  Otherwise the
-    slab of the corner box is walked.
+    slab of the corner box is walked, or, with ``walk`` false, WALK is
+    returned and the plane left undecided.
     """
     roots = cone.roots
     combos = [_combo_poly(cone.rays[i], normal) for i in range(3)]
@@ -456,6 +491,8 @@ def _certify_face(cone, normal, offset, box_cap=FACE_BOX_CAP, known=None):
         if (w < offset).any():
             return None
         plane_pts = list(map(tuple, known[1][w == offset].tolist()))
+    elif not walk:
+        return WALK
     else:
         plane_pts = []
         for pts, w in _strip_points(normal, offset, bound):
@@ -472,13 +509,71 @@ def _certify_face(cone, normal, offset, box_cap=FACE_BOX_CAP, known=None):
                 vertices=cycle, area2=area2)
 
 
-def compute_sail(cone, radius):
+def _moved_normals(normals, words):
+    """N @ g for every row N of ``normals`` and every word g, as nested
+    lists of Python ints; in int64 when the products provably fit."""
+    mats = np.array([g.rows for g in words], dtype=object)
+    if 3 * max(map(abs, mats.flat)) * int(np.abs(normals).max(initial=1)) < 2 ** 63:
+        mats = mats.astype(np.int64)
+    else:
+        normals = normals.astype(object)
+    return (normals[:, None, None, :] @ mats).reshape(len(normals), len(words), 3).tolist()
+
+
+def _certify_candidates(cone, group, candidates, known):
+    """The certified faces among the candidate planes (normal, offset).
+
+    Totally positive units of det 1 map the cone's lattice points onto
+    themselves and keep orientation, so when (N @ g, d) is a certified face
+    F for a word g = g1^a @ g2^b, the plane (N, d) is the face g.F: its
+    vertices are the g.v, its area that of F.  Candidates are taken by
+    increasing offset and looked up among the faces certified so far; a
+    miss is certified.  Walks of the corner box wait until every other
+    candidate is settled and get one more lookup first.  ``cone.face_cache``
+    keeps every result across radii.
+    """
+    reach = range(-LOOKUP_REACH, LOOKUP_REACH + 1)
+    words = [group.translate(a, b) for a in reach for b in reach if a or b]
+    candidates = sorted(candidates, key=lambda c: c[1])
+    moved = _moved_normals(np.array([n for n, _ in candidates], dtype=np.int64).reshape(-1, 3),
+                           words)
+    faces = {}
+
+    def lookup(i):
+        n, d = candidates[i]
+        for g, m in zip(words, moved[i]):
+            face = faces.get((tuple(m), d))
+            if face is not None:
+                return Face(normal=n, offset=d, area2=face.area2,
+                            vertices=_orbit_key(_apply(g, face.vertices)))
+        return None
+
+    def settle(i, walk):
+        key = candidates[i]
+        if key not in cone.face_cache:
+            face = lookup(i) or _certify_face(cone, *key, known=known, walk=walk)
+            if face is WALK:
+                return False
+            cone.face_cache[key] = face
+        if cone.face_cache[key] is not None:
+            faces[key] = cone.face_cache[key]
+        return True
+
+    pending = [i for i in range(len(candidates)) if not settle(i, False)]
+    for i in pending:
+        settle(i, True)
+    return faces.values()
+
+
+def compute_sail(cone, radius, group):
     """Certified sail faces discovered from lattice points within ``radius``.
 
     Candidate planes come from the convex hull of the enumerated points that
     no small cone point dominates (``_undominated``), or of all of them when
-    those are degenerate; each kept face is re-certified exactly against the
-    whole cone, so its polygon and area do not depend on the radius.  Faces
+    those are degenerate.  A candidate that a unit word of ``group`` maps
+    onto a face already certified is that face's translate; every other one
+    is certified exactly against the whole cone (``_certify_candidates``).
+    So a face's polygon and area do not depend on the radius, and faces
     already certified at a smaller radius are certified again at any larger
     one.
     """
@@ -515,15 +610,10 @@ def compute_sail(cone, radius):
     # Simplex corners are hull vertices, so a plane no hull vertex lies below
     # is a candidate; any cone point strictly below it fails certification.
     support = (cloud[hull.vertices] @ normals.T).min(axis=0) == offsets
-    faces = []
-    for n, d in dict.fromkeys(zip(map(tuple, normals[support].tolist()),
-                                  offsets[support].tolist())):
-        if (n, d) not in cone.face_cache:
-            cone.face_cache[(n, d)] = _certify_face(cone, n, d, known=(radius, cloud))
-        face = cone.face_cache[(n, d)]
-        if face is not None:
-            faces.append(face)
-    faces = sorted(set(faces), key=lambda f: (f.offset, f.normal, f.vertices))
+    candidates = dict.fromkeys(zip(map(tuple, normals[support].tolist()),
+                                   offsets[support].tolist()))
+    faces = sorted(_certify_candidates(cone, group, candidates, (radius, cloud)),
+                   key=lambda f: (f.offset, f.normal, f.vertices))
     vertices = sorted({v for f in faces for v in f.vertices})
     edges = set()
     for f in faces:
@@ -618,9 +708,14 @@ class DirichletGroup:
     _tcache: dict = field(default_factory=dict, repr=False)
 
     def translate(self, t1, t2):
+        """g1^t1 @ g2^t2, from the cached powers of g1 and g2."""
         key = (t1, t2)
         if key not in self._tcache:
-            self._tcache[key] = _mat_power(self.g1, t1) @ _mat_power(self.g2, t2)
+            if t1 and t2:
+                value = self.translate(t1, 0) @ self.translate(0, t2)
+            else:
+                value = _mat_power(self.g1 if t1 else self.g2, t1 + t2)
+            self._tcache[key] = value
         return self._tcache[key]
 
     def member_exponents(self, u):
@@ -838,13 +933,6 @@ class TorusInvariant:
                 self.face_profile)
 
 
-def _log_anchor(cone, points):
-    total = tuple(sum(p[k] for p in points) for k in range(3))
-    y = cone.float_coordinates(total)
-    assert (y > 0).all()
-    return (math.log(y[0]), math.log(y[1]))
-
-
 def _cell_candidates(x):
     f = math.floor(x)
     fr = x - f
@@ -859,21 +947,35 @@ def _orbit_key(points):
     # A cycle of lattice points rotated to start at its least point: the
     # sorted pair for an edge, the point itself for a vertex.
     cycle = [tuple(p) for p in points]
-    start = min(range(len(cycle)), key=lambda t: cycle[t])
+    start = cycle.index(min(cycle))
     return tuple(cycle[start:] + cycle[:start])
 
 
-def _canonical(cone, group, points):
-    """Minimal group translate of a sail element, as an exact key.
+def _orbit_keys(cone, group, elements):
+    """The least group translate of each sail element, as an exact key.
 
-    The anchor's eigen-coordinate logs are reduced into the fundamental cell
-    of the generator log lattice; near-boundary anchors consider both
-    neighboring cells so that all members of an orbit agree on the key.
+    An element is a cycle of lattice points: a face's vertex ring, an edge as
+    its sorted pair, a vertex as a 1-tuple.  The eigen-coordinate logs of
+    every anchor (the sum of an element's points) come from one product and
+    one log, and are reduced into the fundamental cell of the generator log
+    lattice as arrays; near-boundary anchors consider both neighboring cells
+    so that all members of an orbit agree on the key.  Returns a dict from
+    each distinct element to its key.
     """
-    w = _log_anchor(cone, points)
-    a, b = _solve_cell(group.log1, group.log2, w)
-    return min(_orbit_key([group.translate(-fa, -fb).apply(p) for p in points])
-               for fa in _cell_candidates(a) for fb in _cell_candidates(b))
+    elements = list(dict.fromkeys(elements))
+    points = np.array([p for e in elements for p in e], dtype=np.float64)
+    starts = np.cumsum([0] + [len(e) for e in elements[:-1]])
+    mids, _ = cone._float_duals()
+    y = np.add.reduceat(points, starts) @ mids.T
+    assert (y > 0).all()
+    w = np.log(y[:, :2])
+    (p0, p1), (q0, q1) = group.log1, group.log2
+    det = p0 * q1 - p1 * q0
+    cells = zip(((w[:, 0] * q1 - w[:, 1] * q0) / det).tolist(),
+                ((p0 * w[:, 1] - p1 * w[:, 0]) / det).tolist())
+    return {e: min(_orbit_key(_apply(group.translate(-fa, -fb), e))
+                   for fa in _cell_candidates(a) for fb in _cell_candidates(b))
+            for e, (a, b) in zip(elements, cells)}
 
 
 def torus_invariants(sail, group):
@@ -882,32 +984,34 @@ def torus_invariants(sail, group):
     Requires the discovered faces to close up into a torus in the quotient:
     every edge orbit must carry exactly two face incidences, the quotient
     complex must be connected, and its Euler characteristic must vanish.
+    The faces, edges and vertices are keyed in one ``_orbit_keys`` pass; the
+    ring edges and corners of the canonical faces, in their translated
+    coordinates, in a second, so that these checks compare keys computed
+    from different points of each orbit.
     """
     if not sail.faces:
         raise CoverageError(
             "no certified faces at radius %d; increase radius" % sail.radius)
     cone = sail.cone
-    memo = {}
-
-    def canonical(points):
-        # An edge is keyed by its sorted pair: both orders of an edge have
-        # the same anchor and the same sorted-pair key.
-        if points not in memo:
-            memo[points] = _canonical(cone, group, list(points))
-        return memo[points]
-
+    vertices = [(v,) for v in sail.vertices]
+    keys = _orbit_keys(cone, group, [f.vertices for f in sail.faces] + list(sail.edges)
+                       + vertices)
     faces = {}
     for f in sail.faces:
-        faces.setdefault(canonical(f.vertices), f)
-    edge_keys = {e: canonical(e) for e in sail.edges}
-    vertex_keys = {v: canonical((v,)) for v in sail.vertices}
+        faces.setdefault(keys[f.vertices], f)
+    # An edge is keyed by its sorted pair: both orders of an edge have the
+    # same anchor and the same sorted-pair key.
+    rings = {ck: [(u, v) if u < v else (v, u) for u, v in zip(ck, ck[1:] + ck[:1])]
+             for ck in faces}
+    corners = [(v,) for ck in faces for v in ck]
+    ring_keys = _orbit_keys(cone, group, [e for ring in rings.values() for e in ring]
+                            + corners)
     incidence = Counter()
     adjacency = {ck: set() for ck in faces}
     edge_to_faces = {}
-    for ck in faces:
-        ring = ck
-        for u, v in zip(ring, ring[1:] + ring[:1]):
-            ek = canonical((u, v) if u < v else (v, u))
+    for ck, ring in rings.items():
+        for e in ring:
+            ek = ring_keys[e]
             incidence[ek] += 1
             edge_to_faces.setdefault(ek, set()).add(ck)
     bad = {ek: n for ek, n in incidence.items() if n != 2}
@@ -916,15 +1020,12 @@ def torus_invariants(sail, group):
             "fundamental domain not covered at radius %d: %d edge orbits "
             "without two incident faces; increase radius"
             % (sail.radius, len(bad)))
-    if set(incidence) != set(edge_keys.values()):
+    if set(incidence) != {keys[e] for e in sail.edges}:
         raise CoverageError(
             "fundamental domain not covered at radius %d: face and edge "
             "orbit sets disagree; increase radius" % sail.radius)
-    corner_keys = set()
-    for ck in faces:
-        for v in ck:
-            corner_keys.add(canonical((v,)))
-    if corner_keys != set(vertex_keys.values()):
+    corner_keys = {ring_keys[v] for v in corners}
+    if corner_keys != {keys[v] for v in vertices}:
         raise CoverageError(
             "fundamental domain not covered at radius %d: face corners and "
             "vertex orbits disagree; increase radius" % sail.radius)
@@ -960,7 +1061,7 @@ def torus_invariant_for(c):
     last = None
     for radius in RADIUS_LADDER:
         try:
-            return torus_invariants(compute_sail(cone, radius), group)
+            return torus_invariants(compute_sail(cone, radius, group), group)
         except CoverageError as exc:
             last = exc
     raise CoverageError(

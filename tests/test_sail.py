@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import math
 import random
@@ -25,16 +26,21 @@ from cf3.roots import (
     sign_at_root,
 )
 from cf3.sail import (
+    LOOKUP_REACH,
     ROOT_WIDTH,
+    SLAB,
+    WALK,
     CoverageError,
+    Face,
     _absorb,
-    _box_slices,
     _cell_candidates,
     _certify_face,
     _char_adjugate,
     _combo_poly,
     _cone_points,
     _mat_power,
+    _moved_normals,
+    _orbit_key,
     _Roots,
     _strip_points,
     _undominated,
@@ -63,6 +69,19 @@ GOLDEN_KEY = (1, 3, 2, ((3, 1), (3, 1)))
 
 def conjugate(p, c):
     return p @ c @ IntMat(inverse_unimodular([list(r) for r in p.rows]))
+
+
+ELEMENTARY = st.tuples(st.sampled_from([(i, j) for i in range(3) for j in range(3) if i != j]),
+                       st.sampled_from([1, -1]))
+
+
+def _word_matrix(word):
+    p = E3
+    for (i, j), s in word:
+        rows = [[int(r == c) for c in range(3)] for r in range(3)]
+        rows[i][j] = s
+        p = p @ IntMat(rows)
+    return p
 
 
 def poly_sub(p, q):
@@ -148,9 +167,14 @@ def test_interior_mask_matches_exact_test():
         assert bool(got) == cone.contains(tuple(int(v) for v in point))
 
 
+def sail_of(c, radius):
+    cone = eigen_cone(c)
+    return compute_sail(cone, radius, dirichlet_generators(cone))
+
+
 def test_compute_sail_golden_faces_certified():
-    cone = eigen_cone(GOLDEN)
-    sail = compute_sail(cone, 16)
+    sail = sail_of(GOLDEN, 16)
+    cone = sail.cone
     assert sail.faces
     for f in sail.faces:
         assert f.offset >= 1
@@ -171,16 +195,12 @@ def test_compute_sail_golden_faces_certified():
 
 
 def test_compute_sail_radius_monotone():
-    cone = eigen_cone(GOLDEN)
-    small = compute_sail(cone, 12)
-    large = compute_sail(cone, 24)
-    assert small.face_keys() <= large.face_keys()
+    assert sail_of(GOLDEN, 12).face_keys() <= sail_of(GOLDEN, 24).face_keys()
 
 
 def test_compute_sail_tiny_radius():
-    cone = eigen_cone(GOLDEN)
     try:
-        sail = compute_sail(cone, 1)
+        sail = sail_of(GOLDEN, 1)
     except RuntimeError:
         return
     assert isinstance(sail.faces, tuple)
@@ -247,11 +267,55 @@ def test_cell_candidates_band():
 def test_sail_svg_deterministic():
     cone = eigen_cone(GOLDEN)
     group = dirichlet_generators(cone)
-    sail = compute_sail(cone, 16)
+    sail = compute_sail(cone, 16, group)
     svg = sail_svg(sail, group)
     assert svg.startswith("<svg")
     assert "polygon" in svg
     assert svg == sail_svg(sail, group)
+
+
+def _box_slices(bound):
+    # The box of ``bound`` in lexicographic order, as slabs of whole
+    # x-slices holding at most SLAB points, or one slice when it is larger.
+    rng = np.arange(-bound, bound + 1, dtype=np.int64)
+    yz = np.stack(np.meshgrid(rng, rng, indexing="ij"), axis=-1).reshape(-1, 2)
+    step = max(1, SLAB // len(yz))
+    for start in range(0, len(rng), step):
+        xs = rng[start:start + step]
+        pts = np.empty((len(xs), len(yz), 3), dtype=np.int64)
+        pts[:, :, 0] = xs[:, None]
+        pts[:, :, 1:] = yz
+        yield pts.reshape(-1, 3)
+
+
+def _cone_points_oracle(cone, bound):
+    # The box scan that _cone_points ran before its scan line: every box
+    # point goes through interior_mask.
+    return np.vstack([pts[cone.interior_mask(pts)] for pts in _box_slices(bound)])
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@example(0, [((0, 1), 1), ((2, 0), -1), ((1, 2), 1)], 64)
+@given(st.integers(0, 2), st.lists(ELEMENTARY, max_size=8), st.integers(1, 40))
+def test_scan_line_cone_points_are_the_box_scan(ref, word, radius):
+    """Scan-line cone points equal the box scan's, in order, on SL(3,Z)
+    conjugates; no array that interior_mask sees exceeds SLAB rows unless it
+    is one x-slice."""
+    cone = eigen_cone(conjugate(_word_matrix(word), REFERENCE_PARAMS[ref][1].matrix()))
+    seen = []
+    mask = cone.interior_mask
+
+    def recording(pts):
+        seen.append(pts)
+        return mask(pts)
+
+    cone.interior_mask = recording
+    got = _cone_points(cone, radius)
+    cone.interior_mask = mask
+    assert np.array_equal(got, _cone_points_oracle(cone, radius))
+    assert all(len(pts) <= SLAB or len(set(pts[:, 0].tolist())) == 1 for pts in seen)
+    if radius == 64:
+        assert len(seen) > 1
 
 
 def _slab_oracle(normal, offset, bound):
@@ -323,7 +387,7 @@ def _face_keys_oracle(cone, radius):
     # in one array pass: every plane is tested against all cone points.
     from scipy.spatial import ConvexHull
 
-    pts = _cone_points(cone, radius)
+    pts = _cone_points_oracle(cone, radius)
     hull = ConvexHull(pts.astype(np.float64))
     seen, keys = set(), set()
     for simplex in hull.simplices:
@@ -350,21 +414,38 @@ def _face_keys_oracle(cone, radius):
 @pytest.mark.parametrize("c", [GOLDEN, M131, M031, conjugate(P_UNIMODULAR, M031)])
 def test_compute_sail_faces_match_the_per_simplex_loop(c):
     for radius in (8, 16, 32):
-        assert (compute_sail(eigen_cone(c), radius).face_keys()
-                == _face_keys_oracle(eigen_cone(c), radius))
+        assert sail_of(c, radius).face_keys() == _face_keys_oracle(eigen_cone(c), radius)
 
 
-ELEMENTARY = st.tuples(st.sampled_from([(i, j) for i in range(3) for j in range(3) if i != j]),
-                       st.sampled_from([1, -1]))
-
-
-def _word_matrix(word):
-    p = E3
-    for (i, j), s in word:
-        rows = [[int(r == c) for c in range(3)] for r in range(3)]
-        rows[i][j] = s
-        p = p @ IntMat(rows)
-    return p
+@pytest.mark.parametrize("c", [GOLDEN, M131, M031], ids=["golden", "M131", "M031"])
+def test_translated_faces_certify_as_the_translates(c):
+    """For every certified face F at radius 16 and every lookup word g, the
+    plane of g.F, certified anew by a corner-box walk, is exactly
+    the Face that compute_sail builds by lookup: normal N_F @ g^-1, the
+    offset and area of F, and the vertices g.v."""
+    cone = eigen_cone(c)
+    group = dirichlet_generators(cone)
+    reach = range(-LOOKUP_REACH, LOOKUP_REACH + 1)
+    words = [(a, b) for a in reach for b in reach if a or b]
+    faces = compute_sail(cone, 16, group).faces
+    assert faces and len(words) == 24
+    walked = 0
+    for f in faces:
+        for a, b in words:
+            g, inverse = group.translate(a, b), group.translate(-a, -b)
+            assert g @ inverse == E3
+            normal = tuple(sum(x * row[j] for x, row in zip(f.normal, inverse.rows))
+                           for j in range(3))
+            got = _certify_face(cone, normal, f.offset)
+            if got is None:
+                # only a corner box past FACE_BOX_CAP rejects a translate
+                assert _certify_face(cone, normal, f.offset, box_cap=math.inf,
+                                     walk=False) is WALK
+                continue
+            walked += 1
+            assert got == Face(normal=normal, offset=f.offset, area2=f.area2,
+                               vertices=_orbit_key([g.apply(v) for v in f.vertices]))
+    assert walked > len(faces) * len(words) // 2
 
 
 @settings(derandomize=True, max_examples=25, deadline=None)
@@ -375,7 +456,7 @@ def test_dominance_filtered_faces_match_the_full_hull(c, word):
     give the faces of the full radius set on SL(3,Z) conjugates."""
     m = conjugate(_word_matrix(word), c)
     try:
-        keys = compute_sail(eigen_cone(m), 16).face_keys()
+        keys = sail_of(m, 16).face_keys()
     except CoverageError:
         reject()
     assert keys == _face_keys_oracle(eigen_cone(m), 16)
@@ -391,9 +472,27 @@ def test_degenerate_undominated_set_falls_back_to_every_point(c, faces):
     kept = _undominated(cone, pts)
     assert np.linalg.matrix_rank(pts[1:] - pts[0]) == 3
     assert len(kept) < 4 or np.linalg.matrix_rank(kept[1:] - kept[0]) < 3
-    keys = compute_sail(cone, 1).face_keys()
+    keys = compute_sail(cone, 1, dirichlet_generators(cone)).face_keys()
     assert bool(keys) == faces
     assert keys == _face_keys_oracle(eigen_cone(c), 1)
+
+
+def test_face_lookup_past_int64_is_exact():
+    """With g1^40 for g1 the lookup words overflow int64, so the moved
+    normals are Python ints; the lookup of this subgroup yields the faces of
+    the whole group's."""
+    cone = eigen_cone(GOLDEN)
+    group = dirichlet_generators(cone)
+    sail = compute_sail(cone, 16, group)
+    sub = dataclasses.replace(group, g1=_mat_power(group.g1, 40), _tcache={})
+    reach = range(-LOOKUP_REACH, LOOKUP_REACH + 1)
+    words = [sub.translate(a, b) for a in reach for b in reach if a or b]
+    assert max(abs(x) for g in words for x in g.flat()) >= 2 ** 63
+    normals = [f.normal for f in sail.faces]
+    assert _moved_normals(np.array(normals, dtype=np.int64), words) == [
+        [[sum(x * row[j] for x, row in zip(n, g.rows)) for j in range(3)] for g in words]
+        for n in normals]
+    assert compute_sail(eigen_cone(GOLDEN), 16, sub).face_keys() == sail.face_keys()
 
 
 # sha256 of the lines "matrix key group_certified radius" of the torus
@@ -401,16 +500,39 @@ def test_degenerate_undominated_set_falls_back_to_every_point(c, faces):
 CLAIM7_SHA256 = "c04200e54d85d08e8128d8af898921a26cf5cb387b7049098c4711136bdeb6b2"
 
 
-def test_claim7_conjugate_invariants_are_frozen():
-    lines = []
+def _claim7_conjugates():
     for label, params in REFERENCE_PARAMS:
         rng = random.Random("%s:%s" % (SEED, label))
         for _ in range(SL3_SAMPLE):
-            conj = conjugate_by(_random_sl3(rng), params.matrix())
-            inv = torus_invariant_for(conj)
-            lines.append("%s %r %s %d" % (conj.flat(), inv.key(), inv.group_certified,
-                                          inv.radius))
+            yield conjugate_by(_random_sl3(rng), params.matrix())
+
+
+def test_claim7_conjugate_invariants_are_frozen():
+    lines = []
+    for conj in _claim7_conjugates():
+        inv = torus_invariant_for(conj)
+        lines.append("%s %r %s %d" % (conj.flat(), inv.key(), inv.group_certified,
+                                      inv.radius))
     assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == CLAIM7_SHA256
+
+
+# corner-box walks (_strip_points calls) of torus_invariant_for over the three
+# references and the 60 claim-7 conjugates, frozen; 631 before face lookup
+STRIP_WALKS = 9
+
+
+def test_face_lookup_keeps_the_strip_walks_frozen(monkeypatch):
+    walks = []
+    strip = sail._strip_points
+
+    def counting(normal, offset, bound):
+        walks.append((normal, offset))
+        return strip(normal, offset, bound)
+
+    monkeypatch.setattr(sail, "_strip_points", counting)
+    for c in [GOLDEN, M131, M031, *_claim7_conjugates()]:
+        torus_invariant_for(c)
+    assert len(walks) == STRIP_WALKS
 
 
 @pytest.mark.parametrize("c", [
